@@ -61,9 +61,11 @@ membership:
 	$(GO) test -race -count=1 ./internal/proto/
 
 # Short seeded fuzz passes over the journal replayer and the protocol
-# engine (longer runs: go test -fuzz FuzzReplay ./internal/journal).
+# engine (longer runs: go test -fuzz FuzzReplay ./internal/journal, or
+# go test -fuzz FuzzEngine ./internal/hlock).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime 10s ./internal/journal/
+	$(GO) test -run '^$$' -fuzz FuzzEngine -fuzztime 10s ./internal/hlock/
 
 # Microbenchmarks: protocol engine hot paths plus the observability
 # overhead benches (histogram/counter/trace-record, including the

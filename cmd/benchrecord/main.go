@@ -1,10 +1,10 @@
 // Command benchrecord captures a benchmark snapshot of the current
 // tree: the paper's Figure 5/6/7 simulations as CSV plus the Go
 // microbenchmark output for the hot-path packages, bundled into one
-// JSON file so successive PRs can be compared (`make bench-record`
-// writes BENCH_pr4.json).
+// JSON document so successive revisions can be compared. It writes to
+// stdout unless -o names a file (`make bench-record` passes one).
 //
-//	benchrecord -o BENCH_pr4.json
+//	benchrecord -o BENCH_new.json
 //	benchrecord -nodes 2,8,16,32,64,120 -duration 300s   # full paper sweep
 package main
 
@@ -43,7 +43,7 @@ type record struct {
 
 func main() {
 	var (
-		out      = flag.String("o", "BENCH_pr5.json", "output file (- for stdout)")
+		out      = flag.String("o", "-", "output file (- for stdout)")
 		nodes    = flag.String("nodes", "2,8,16,32", "comma-separated node counts for the figure sweeps")
 		duration = flag.Duration("duration", 60*time.Second, "virtual measurement window per cell")
 		warmup   = flag.Duration("warmup", 10*time.Second, "virtual warmup per cell")

@@ -1297,6 +1297,40 @@ type Network struct {
 	trace    *trace.Recorder
 	faults   *sim.Faults
 	tel      *telemetry
+	// free is the pool of delivery nodes not in flight.
+	free *delivery
+}
+
+// delivery is one message in flight, scheduled on the simulator as a
+// sim.Firer. Nodes are pooled on the network's free list, so a warmed-up
+// Send allocates nothing.
+type delivery struct {
+	nw   *Network
+	h    func(*proto.Message) // the receiver's handler when the message was sent
+	m    proto.Message
+	next *delivery
+}
+
+// Fire hands the message to the handler captured at send time, then
+// returns the node to the pool. The handler receives a pointer into the
+// pooled node, so it must not keep it past return: Node.handle, the
+// recovery manager's HandleMessage and every protocol engine's Handle
+// copy what they need (Register's contract).
+func (d *delivery) Fire() {
+	nw, m := d.nw, &d.m
+	if d.h != nil {
+		nw.trace.Record(trace.Entry{
+			At: nw.sim.Now(), Op: trace.OpDeliver, Node: m.To,
+			Lock: m.Lock, Mode: m.Mode, Kind: m.Kind, From: m.From, To: m.To,
+			Trace: msgTrace(m), Epoch: m.Epoch,
+		})
+		if nw.tel != nil && m.Kind == proto.KindToken {
+			nw.tel.tokenTransfer(m.Lock, "in")
+		}
+		d.h(m)
+	}
+	*d = delivery{nw: nw, next: nw.free}
+	nw.free = d
 }
 
 // NewNetwork creates a network over the simulator with the given latency
@@ -1311,7 +1345,9 @@ func NewNetwork(s *sim.Sim, latency sim.Dist) *Network {
 	}
 }
 
-// Register installs the message handler for a node.
+// Register installs the message handler for a node. The handler must
+// not retain the *proto.Message after it returns: the message lives in
+// a pooled delivery node that the next Send reuses.
 func (nw *Network) Register(id proto.NodeID, h func(*proto.Message)) {
 	nw.handlers[id] = h
 }
@@ -1378,22 +1414,16 @@ func (nw *Network) Send(msg proto.Message) {
 		at = last + time.Nanosecond
 	}
 	nw.lastAt[key] = at
-	h := nw.handlers[msg.To]
-	m := msg // copy for the closure
-	nw.sim.At(at-nw.sim.Now(), func() {
-		if h == nil {
-			return
-		}
-		nw.trace.Record(trace.Entry{
-			At: nw.sim.Now(), Op: trace.OpDeliver, Node: m.To,
-			Lock: m.Lock, Mode: m.Mode, Kind: m.Kind, From: m.From, To: m.To,
-			Trace: msgTrace(&m), Epoch: m.Epoch,
-		})
-		if nw.tel != nil && m.Kind == proto.KindToken {
-			nw.tel.tokenTransfer(m.Lock, "in")
-		}
-		h(&m)
-	})
+	d := nw.free
+	if d == nil {
+		d = &delivery{nw: nw}
+	} else {
+		nw.free = d.next
+		d.next = nil
+	}
+	d.h = nw.handlers[msg.To]
+	d.m = msg
+	nw.sim.AtFirer(at-nw.sim.Now(), d)
 }
 
 // recordFaults emits one trace entry per injected fault event on a

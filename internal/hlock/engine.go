@@ -156,11 +156,20 @@ type Engine struct {
 	initEpoch  uint32
 
 	// children maps each copyset child to the owned mode this node last
-	// learned for it (grants strengthen it, releases weaken it).
+	// learned for it (grants strengthen it, releases weaken it). kids
+	// counts the entries per mode, so the owned mode is a fold over five
+	// counters instead of over the copyset; every children mutation goes
+	// through setChild or delChild (Reseed resets both) to keep the two
+	// equal.
 	children map[proto.NodeID]modes.Mode
+	kids     [modes.W + 1]int32
 	// sentFrozen records the frozen view last pushed to each child, for
-	// dedup (paper footnote a).
-	sentFrozen map[proto.NodeID]modes.Set
+	// dedup (paper footnote a). frozenViews counts its non-empty entries:
+	// with nothing frozen and every recorded view empty there is nothing
+	// to push, and pushFrozenViews returns without visiting the copyset.
+	// Writes go through setView and delChild.
+	sentFrozen  map[proto.NodeID]modes.Set
+	frozenViews int
 
 	// queue holds locally queued requests in arrival order.
 	queue []proto.Request
@@ -236,7 +245,9 @@ func (e *Engine) Clone(clock *proto.Clock) *Engine {
 		stale:        e.stale,
 		frozen:       e.frozen,
 		children:     make(map[proto.NodeID]modes.Mode, len(e.children)),
+		kids:         e.kids,
 		sentFrozen:   make(map[proto.NodeID]modes.Set, len(e.sentFrozen)),
+		frozenViews:  e.frozenViews,
 		grantSeqOut:  make(map[proto.NodeID]uint64, len(e.grantSeqOut)),
 		grantModeOut: make(map[proto.NodeID]modes.Mode, len(e.grantModeOut)),
 		grantSeqIn:   make(map[proto.NodeID]uint64, len(e.grantSeqIn)),
@@ -427,24 +438,54 @@ func (e *Engine) Owned() modes.Mode {
 	if len(e.children) == 0 {
 		return e.held
 	}
-	mo := e.held
-	for _, m := range e.children {
-		mo = modes.Max(mo, m)
-	}
-	return mo
+	return modes.Max(e.held, e.ownedChildren())
 }
 
 // ownedChildren folds only the children's modes, excluding the local held
 // mode. Used to decide the token node's own queued requests (upgrade).
+// The fold runs over the per-mode counters in a fixed order, strongest
+// first, so it costs the same for any copyset size. Of the two modes of
+// equal strength IW is checked before U, as modes.Owned resolves that
+// tie; no valid copyset holds both (they conflict).
 func (e *Engine) ownedChildren() modes.Mode {
-	if len(e.children) == 0 {
-		return modes.None
+	for _, m := range [...]modes.Mode{modes.W, modes.IW, modes.U, modes.R, modes.IR} {
+		if e.kids[m] > 0 {
+			return m
+		}
 	}
-	mo := modes.None
-	for _, m := range e.children {
-		mo = modes.Max(mo, m)
+	return modes.None
+}
+
+// setChild records child c as owning mode m (never None).
+func (e *Engine) setChild(c proto.NodeID, m modes.Mode) {
+	if old, ok := e.children[c]; ok {
+		e.kids[old]--
 	}
-	return mo
+	e.children[c] = m
+	e.kids[m]++
+}
+
+// delChild drops child c from the copyset, with its frozen-view record.
+func (e *Engine) delChild(c proto.NodeID) {
+	if old, ok := e.children[c]; ok {
+		e.kids[old]--
+		delete(e.children, c)
+	}
+	if !e.sentFrozen[c].Empty() {
+		e.frozenViews--
+	}
+	delete(e.sentFrozen, c)
+}
+
+// setView records view as the frozen view last pushed to child c.
+func (e *Engine) setView(c proto.NodeID, view modes.Set) {
+	if !e.sentFrozen[c].Empty() {
+		e.frozenViews--
+	}
+	if !view.Empty() {
+		e.frozenViews++
+	}
+	e.sentFrozen[c] = view
 }
 
 // String summarizes the engine state for traces and test failures.
@@ -800,7 +841,7 @@ func (e *Engine) handleToken(msg *proto.Message, out *Out) error {
 	if msg.Owned != modes.None {
 		// Footnote b: the old token still owns a mode, so it joins the new
 		// token's copyset as a child.
-		e.children[msg.From] = msg.Owned
+		e.setChild(msg.From, msg.Owned)
 	}
 	if msg.From != oldParent && oldOwned != modes.None {
 		// Detach from the old parent: we are the root now and our subtree
@@ -845,10 +886,9 @@ func (e *Engine) handleRelease(msg *proto.Message, out *Out) error {
 		reported = modes.Max(reported, e.grantModeOut[msg.From])
 	}
 	if reported == modes.None {
-		delete(e.children, msg.From)
-		delete(e.sentFrozen, msg.From)
+		e.delChild(msg.From)
 	} else {
-		e.children[msg.From] = reported
+		e.setChild(msg.From, reported)
 	}
 	if e.token {
 		e.serveQueue(out)
@@ -917,11 +957,11 @@ func (e *Engine) enqueue(req proto.Request) {
 // child of this node with the granted mode folded into its owned mode.
 func (e *Engine) grantCopy(req proto.Request, out *Out) {
 	cm := modes.Max(e.children[req.Origin], req.Mode)
-	e.children[req.Origin] = cm
+	e.setChild(req.Origin, cm)
 	e.grantSeqOut[req.Origin]++
 	e.grantModeOut[req.Origin] = req.Mode
 	view := e.frozenViewFor(cm)
-	e.sentFrozen[req.Origin] = view
+	e.setView(req.Origin, view)
 	out.send(proto.Message{
 		Kind: proto.KindGrant, Lock: e.lock,
 		From: e.self, To: req.Origin, TS: e.clock.Tick(),
@@ -934,8 +974,7 @@ func (e *Engine) grantCopy(req proto.Request, out *Out) {
 // which becomes the new root; this node becomes its child if it still
 // owns a mode (Rule 3.2 operational spec, footnotes b, c).
 func (e *Engine) transferToken(req proto.Request, out *Out) {
-	delete(e.children, req.Origin)
-	delete(e.sentFrozen, req.Origin)
+	e.delChild(req.Origin)
 	q := e.queue
 	e.queue = nil
 	e.token = false
@@ -1118,7 +1157,8 @@ func (e *Engine) frozenViewFor(cm modes.Mode) modes.Set {
 // child-ID order — deterministic emission keeps whole simulations
 // reproducible (map iteration order would leak into message timing).
 func (e *Engine) pushFrozenViews(out *Out) {
-	if e.opt.NoFreezing || len(e.children) == 0 {
+	if e.opt.NoFreezing || len(e.children) == 0 ||
+		(e.frozen.Empty() && e.frozenViews == 0) {
 		return
 	}
 	ids := make([]int, 0, len(e.children))
@@ -1132,7 +1172,7 @@ func (e *Engine) pushFrozenViews(out *Out) {
 		if e.sentFrozen[c] == view {
 			continue
 		}
-		e.sentFrozen[c] = view
+		e.setView(c, view)
 		out.send(proto.Message{
 			Kind: proto.KindFreeze, Lock: e.lock,
 			From: e.self, To: c, TS: e.clock.Tick(), Frozen: view,
@@ -1184,6 +1224,8 @@ func (e *Engine) Reseed(root proto.NodeID, epoch uint32, accounted modes.Mode, c
 	e.frozen = 0
 	clear(e.children)
 	clear(e.sentFrozen)
+	e.kids = [len(e.kids)]int32{}
+	e.frozenViews = 0
 	clear(e.grantSeqOut)
 	clear(e.grantModeOut)
 	clear(e.grantSeqIn)
@@ -1201,7 +1243,7 @@ func (e *Engine) Reseed(root proto.NodeID, epoch uint32, accounted modes.Mode, c
 		e.parent = proto.NoNode
 		for _, c := range copyset {
 			if c.Origin != e.self && c.Mode != modes.None {
-				e.children[c.Origin] = c.Mode
+				e.setChild(c.Origin, c.Mode)
 			}
 		}
 		if e.pending != modes.None {

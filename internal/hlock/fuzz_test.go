@@ -78,29 +78,7 @@ func runFuzz(t *testing.T, seed int64, cfg fuzzConfig) {
 		}
 	}
 
-	// Wind down: deliver everything, release all holders, repeat until
-	// every request completed and the network is silent.
-	for round := 0; ; round++ {
-		if round > 10*cfg.nodes+100 {
-			t.Fatalf("seed %d: system did not quiesce; waiting=%v\n%s", seed, h.waiting, h.dump())
-		}
-		h.drain(rng)
-		released := false
-		for id, e := range h.engines {
-			if e.Held() != modes.None && e.Pending() == modes.None {
-				delete(upgrading, id)
-				h.release(int(id))
-				released = true
-			}
-		}
-		if !released && len(h.pendingPairs()) == 0 {
-			break
-		}
-	}
-	if len(h.waiting) > 0 {
-		t.Fatalf("seed %d: requests never served: %v\n%s", seed, h.waiting, h.dump())
-	}
-	h.checkQuiescent()
+	h.settle(rng, fmt.Sprintf("seed %d", seed))
 }
 
 func TestFuzzPaperMix(t *testing.T) {
@@ -192,4 +170,70 @@ func TestFuzzNoFreezing(t *testing.T) {
 			})
 		})
 	}
+}
+
+// fuzzOptions are the protocol variants FuzzEngine picks from: the full
+// protocol and the ablations the seeded fuzz tests cover.
+var fuzzOptions = []hlock.Options{
+	{},
+	{NoLocalQueues: true},
+	{NoChildGrants: true},
+	{NoLocalAcquire: true},
+	{NoPathReversal: true},
+	{NoFreezing: true},
+	{NoPathReversal: true, NoFreezing: true},
+	{NoLocalQueues: true, NoChildGrants: true, NoLocalAcquire: true},
+}
+
+// FuzzEngine drives the harness from a byte stream. The config byte
+// picks the node count (2–7) and the protocol variant; the stream is
+// then read in (op, arg) pairs. An even op delivers the head message of
+// pending link arg; an odd op issues the next client operation at node
+// arg — upgrade a held U (when op bit 1 is set), release a hold, or
+// acquire mode op>>2 (mod 5), at priority op>>5 under the full protocol.
+// Every step runs the mutual-exclusion oracle and the copyset counter
+// check; the end state must settle to structural consistency.
+//
+//	go test -run '^$' -fuzz FuzzEngine ./internal/hlock
+func FuzzEngine(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2*len(fuzzOptions); i++ {
+		ops := make([]byte, 64+rng.Intn(512))
+		rng.Read(ops)
+		f.Add(byte(i%len(fuzzOptions)*6+i%6), ops)
+	}
+	f.Fuzz(func(t *testing.T, cfg byte, ops []byte) {
+		const maxSteps = 4096
+		n := 2 + int(cfg%6)
+		opt := fuzzOptions[int(cfg/6)%len(fuzzOptions)]
+		h := newHarness(t, n, opt)
+		upgrading := map[proto.NodeID]bool{}
+		for step := 0; step < maxSteps && len(ops) >= 2; step++ {
+			op, arg := ops[0], ops[1]
+			ops = ops[2:]
+			if op&1 == 0 {
+				if pairs := h.pendingPairs(); len(pairs) > 0 {
+					h.deliverOne(pairs[int(arg)%len(pairs)])
+				}
+				continue
+			}
+			id := proto.NodeID(int(arg) % n)
+			e := h.engines[id]
+			switch {
+			case e.Held() == modes.U && !upgrading[id] && op&2 != 0:
+				upgrading[id] = true
+				h.upgrade(int(id))
+			case e.Held() != modes.None && e.Pending() == modes.None:
+				delete(upgrading, id)
+				h.release(int(id))
+			case e.Held() == modes.None && e.Pending() == modes.None:
+				prio := uint8(0)
+				if opt == (hlock.Options{}) {
+					prio = op >> 5
+				}
+				h.acquirePri(int(id), modes.All[int(op>>2)%len(modes.All)], prio)
+			}
+		}
+		h.settle(nil, fmt.Sprintf("config %d", cfg))
+	})
 }

@@ -57,9 +57,13 @@ func newHarness(t testing.TB, n int, opt hlock.Options) *harness {
 
 func (h *harness) node(i int) *hlock.Engine { return h.engines[proto.NodeID(i)] }
 
-// absorb routes an engine step's output into the network and the oracle.
+// absorb routes an engine step's output into the network and the oracle,
+// after checking the stepped engine's copyset counters.
 func (h *harness) absorb(from proto.NodeID, out hlock.Out) {
 	h.t.Helper()
+	if err := h.engines[from].CheckCounters(); err != nil {
+		h.t.Fatal(err)
+	}
 	for _, m := range out.Msgs {
 		h.counts[m.Kind]++
 		key := [2]proto.NodeID{m.From, m.To}
@@ -196,6 +200,33 @@ func (h *harness) drain(rng *rand.Rand) {
 	}
 }
 
+// settle winds the system down — deliver everything, release every
+// holder, repeat until every request completed and the network is
+// silent — then checks structural consistency. what labels failures.
+func (h *harness) settle(rng *rand.Rand, what string) {
+	h.t.Helper()
+	for round := 0; ; round++ {
+		if round > 10*len(h.engines)+100 {
+			h.t.Fatalf("%s: system did not quiesce; waiting=%v\n%s", what, h.waiting, h.dump())
+		}
+		h.drain(rng)
+		released := false
+		for id, e := range h.engines {
+			if e.Held() != modes.None && e.Pending() == modes.None {
+				h.release(int(id))
+				released = true
+			}
+		}
+		if !released && len(h.pendingPairs()) == 0 {
+			break
+		}
+	}
+	if len(h.waiting) > 0 {
+		h.t.Fatalf("%s: requests never served: %v\n%s", what, h.waiting, h.dump())
+	}
+	h.checkQuiescent()
+}
+
 // held returns the mode node i currently holds per its engine.
 func (h *harness) held(i int) modes.Mode { return h.node(i).Held() }
 
@@ -223,6 +254,9 @@ func (h *harness) checkQuiescent() {
 	h.t.Helper()
 	tok := h.requireToken()
 	for id, e := range h.engines {
+		if err := e.CheckCounters(); err != nil {
+			h.t.Error(err)
+		}
 		if m, ok := h.waiting[id]; ok {
 			h.t.Errorf("node %d: request for %v never completed: %v", id, m, e)
 		}

@@ -211,6 +211,11 @@ func (c *checker) explore(s *mcState) {
 	step := func(mutate func(ns *mcState) bool) {
 		acted = true
 		ns := s.clone()
+		for _, e := range ns.engines {
+			if err := e.CheckCounters(); err != nil {
+				c.fail(ns, "clone: %v", err)
+			}
+		}
 		if mutate(ns) {
 			if c.succ != nil {
 				c.succ[k] = append(c.succ[k], ns.key())
@@ -351,6 +356,9 @@ func (c *checker) checkLiveness() {
 // absorb routes a step's output into the state.
 func (c *checker) absorb(s *mcState, node proto.NodeID, out hlock.Out) {
 	c.t.Helper()
+	if err := s.engines[node].CheckCounters(); err != nil {
+		c.fail(s, "%v", err)
+	}
 	for _, m := range out.Msgs {
 		key := [2]proto.NodeID{m.From, m.To}
 		s.queues[key] = append(s.queues[key], m)

@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
 	"time"
@@ -44,15 +43,29 @@ func (s *Sim) NewRand() *rand.Rand {
 	return rand.New(rand.NewSource(s.master.Int63()))
 }
 
+// Firer is a scheduled action that fires itself. Scheduling a pointer
+// that implements Firer allocates nothing, where a fresh closure per
+// event costs one allocation; hot callers (the simulated network's
+// message deliveries) keep pooled Firer nodes and reuse them.
+type Firer interface{ Fire() }
+
+// funcFirer adapts a plain callback to Firer. A func value is a single
+// pointer, so the conversion to the interface does not allocate.
+type funcFirer func()
+
+func (f funcFirer) Fire() { f() }
+
 // At schedules fn to run after delay of virtual time. Negative delays are
 // clamped to zero (fn runs "now", after currently queued events at the
 // same instant).
 func (s *Sim) At(delay time.Duration, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	s.seq++
-	heap.Push(&s.events, event{at: s.now + delay, seq: s.seq, fn: fn})
+	s.schedule(delay, funcFirer(fn), false)
+}
+
+// AtFirer schedules f.Fire like At schedules a callback; events from
+// both share one (time, scheduling order) sequence.
+func (s *Sim) AtFirer(delay time.Duration, f Firer) {
+	s.schedule(delay, f, false)
 }
 
 // AtDaemon schedules fn like At but as a daemon event: it does not count
@@ -60,12 +73,16 @@ func (s *Sim) At(delay time.Duration, fn func()) {
 // the far-future end of a permanent crash window — never stop a cluster
 // from reporting quiescence. Run and Drain fire daemons normally.
 func (s *Sim) AtDaemon(delay time.Duration, fn func()) {
+	s.daemons++
+	s.schedule(delay, funcFirer(fn), true)
+}
+
+func (s *Sim) schedule(delay time.Duration, f Firer, daemon bool) {
 	if delay < 0 {
 		delay = 0
 	}
 	s.seq++
-	s.daemons++
-	heap.Push(&s.events, event{at: s.now + delay, seq: s.seq, daemon: true, fn: fn})
+	s.events.push(event{at: s.now + delay, seq: s.seq, daemon: daemon, f: f})
 }
 
 // Run processes events until the queue is empty or virtual time would
@@ -73,17 +90,13 @@ func (s *Sim) AtDaemon(delay time.Duration, fn func()) {
 // exactly at `until` are processed.
 func (s *Sim) Run(until time.Duration) uint64 {
 	fired := uint64(0)
-	for len(s.events) > 0 {
-		next := s.events[0]
-		if next.at > until {
-			break
-		}
-		heap.Pop(&s.events)
+	for len(s.events) > 0 && s.events[0].at <= until {
+		next := s.events.pop()
 		if next.daemon {
 			s.daemons--
 		}
 		s.now = next.at
-		next.fn()
+		next.f.Fire()
 		fired++
 		s.nfired++
 	}
@@ -101,12 +114,12 @@ func (s *Sim) Drain(maxEvents uint64) bool {
 		if fired >= maxEvents {
 			return false
 		}
-		next := heap.Pop(&s.events).(event)
+		next := s.events.pop()
 		if next.daemon {
 			s.daemons--
 		}
 		s.now = next.at
-		next.fn()
+		next.f.Fire()
 		s.nfired++
 	}
 	return true
@@ -120,26 +133,67 @@ type event struct {
 	at     time.Duration
 	seq    uint64
 	daemon bool
-	fn     func()
+	f      Firer
 }
 
+// before is the firing order: virtual time, then scheduling order. seq
+// is unique, so the order is total and any correct heap pops the same
+// sequence.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of events by before. It is typed rather
+// than built on container/heap, whose interface{} Push and Pop box every
+// event on the way in and out.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = ev
+	*h = q
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// pop removes and returns the first event. The heap must be non-empty.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the Firer reference for the collector
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(&q[c]) {
+				c = r
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
 }
 
 // Dist is a randomized duration distribution.
