@@ -73,18 +73,27 @@ fuzz:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem . ./internal/hlock ./internal/metrics ./internal/trace ./internal/proto
 
-# Record a benchmark snapshot — the paper's Figure 5/6/7 CSVs plus the
-# microbenchmark output — into BENCH_pr10.json so PRs can be compared.
-bench-record:
-	$(GO) run ./cmd/benchrecord -o BENCH_pr10.json
+# The fresh snapshot bench-record writes (git-ignored, so a CI run never
+# rewrites a committed baseline) and the baseline bench-compare gates it
+# against: the highest-numbered committed BENCH_pr<N>.json, in numeric
+# order (pr10 after pr9).
+BENCH_NEW = bench-current.json
+BENCH_BASELINE = $(shell git ls-files 'BENCH_pr*.json' | sort -V | tail -n 1)
 
-# Compare the current snapshot against the previous PR's baseline and
+# Record a benchmark snapshot — the paper's Figure 5/6/7 CSVs plus the
+# microbenchmark output — into $(BENCH_NEW). To add a baseline, copy it
+# to the next BENCH_pr<N>.json and commit it.
+bench-record:
+	$(GO) run ./cmd/benchrecord -o $(BENCH_NEW)
+
+# Compare the fresh snapshot against the latest committed baseline and
 # fail on any >10% regression in the gated families: engine
 # microbenchmarks, the live-cluster member hot paths (with the latency
 # SLO histograms active via telemetry tests), and the seeded simulator
-# figure benchmarks, against the PR-8 baseline.
+# figure benchmarks.
 bench-compare:
-	$(GO) run ./cmd/benchcompare -old BENCH_pr9.json -new BENCH_pr10.json -threshold 0.10
+	@test -n "$(BENCH_BASELINE)" || { echo "no committed BENCH_pr*.json baseline"; exit 1; }
+	$(GO) run ./cmd/benchcompare -old $(BENCH_BASELINE) -new $(BENCH_NEW) -threshold 0.10
 
 # The online protocol auditor's invariant tests, under the race
 # detector (they replay violating and healthy trace streams).
@@ -97,8 +106,7 @@ audit:
 # chaos/crash-recovery pass, the durability pass (journal + cold-start
 # chaos + journal fuzz), the session/lease stress pass, the runtime
 # membership pass (join/leave acceptance + determinism), and the
-# microbenchmark regression gate against the previous PR's recorded
-# baseline.
+# microbenchmark regression gate against the latest committed baseline.
 ci: build lint test race audit chaos coldstart sessions membership fuzz bench-record bench-compare
 
 clean:

@@ -14,6 +14,7 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"hierlock/internal/hlock"
@@ -207,10 +208,8 @@ func New(cfg Config) *Cluster {
 	c.Net = NewNetwork(s, cfg.Latency)
 	c.Net.trace = cfg.Trace
 	if cfg.Registry != nil {
-		c.tel.init(cfg.Registry, cfg.LatencyBase)
-		c.registerLockCollectors(cfg.Registry)
+		c.registerTelemetry(cfg.Registry, cfg.LatencyBase)
 	}
-	c.Net.tel = &c.tel
 	if cfg.Faults != nil {
 		c.Net.SetFaults(*cfg.Faults)
 	}
@@ -338,7 +337,7 @@ func (c *Cluster) nodeDied(dead proto.NodeID) {
 	}
 	n := c.Nodes[dead]
 	for lock, w := range n.waiters {
-		c.tel.observeOp(metrics.OpLock, metrics.OutcomeLost, c.Sim.Now()-w.start, 0)
+		c.tel.ObserveOp(metrics.OpLock, metrics.OutcomeLost, c.Sim.Now()-w.start, 0)
 		delete(n.waiters, lock)
 	}
 }
@@ -568,6 +567,22 @@ func (c *Cluster) HealthSample() watchdog.Sample {
 	return s
 }
 
+// waiting is one outstanding client request: the mode it asked for and
+// the completion callback.
+type waiting struct {
+	mode modes.Mode
+	// start is the virtual time the request was issued, for the grant
+	// latency histograms.
+	start time.Duration
+	done  func()
+	// hops counts token deliveries observed while the wait was
+	// outstanding, and recovered marks a wait that rode through a
+	// recovery reseed — the same classification the member's waiter
+	// fields feed the per-operation latency families.
+	hops      int
+	recovered bool
+}
+
 // Node is one simulated participant running every lock's engine.
 type Node struct {
 	ID proto.NodeID
@@ -607,21 +622,6 @@ type Node struct {
 // seeded runs stay deterministic.
 func (n *Node) newTrace() proto.TraceID {
 	return proto.TraceID{Node: n.ID, Seq: uint64(n.clock.Tick())}
-}
-
-// msgTrace extracts a message's causal trace ID (requests carry the
-// authoritative copy in the embedded Request).
-func msgTrace(msg *proto.Message) proto.TraceID {
-	if msg.Kind == proto.KindRequest && !msg.Req.Trace.IsZero() {
-		return msg.Req.Trace
-	}
-	if msg.Kind == proto.KindRecovered {
-		// The regenerated root rides in Req.Origin; surfacing it as the
-		// entry's trace node lets the auditor learn the new release target
-		// every reseeded node acquires.
-		return proto.TraceID{Node: msg.Req.Origin}
-	}
-	return msg.Trace
 }
 
 func newNode(c *Cluster, id proto.NodeID, cfg Config) *Node {
@@ -745,7 +745,7 @@ func (n *Node) maxEpoch() uint32 {
 // restarted clocks the same way — so message ordering stays safe.
 func (n *Node) wipe() {
 	for lock, w := range n.waiters {
-		n.c.tel.observeOp(metrics.OpLock, metrics.OutcomeLost, n.c.Sim.Now()-w.start, 0)
+		n.c.tel.ObserveOp(metrics.OpLock, metrics.OutcomeLost, n.c.Sim.Now()-w.start, 0)
 		delete(n.waiters, lock)
 	}
 	clear(n.roundStart) // a crashed regenerator's rounds die with it
@@ -957,7 +957,7 @@ func (n *Node) Acquire(lock proto.LockID, m modes.Mode, done func()) {
 // only; Naimi ignores it).
 func (n *Node) AcquirePri(lock proto.LockID, m modes.Mode, priority uint8, done func()) {
 	n.c.Requests++
-	n.c.tel.requests.Inc()
+	n.c.tel.Requests.Inc()
 	tr := n.newTrace()
 	n.c.trace.Record(trace.Entry{
 		At: n.c.Sim.Now(), Op: trace.OpAcquire, Node: n.ID, Lock: lock, Mode: m, Trace: tr,
@@ -1023,7 +1023,7 @@ func (n *Node) UpgradePri(lock proto.LockID, priority uint8, done func()) {
 	}
 	e := n.hierEngine(lock)
 	n.c.Requests++
-	n.c.tel.requests.Inc()
+	n.c.tel.Requests.Inc()
 	tr := n.newTrace()
 	n.c.trace.Record(trace.Entry{
 		At: n.c.Sim.Now(), Op: trace.OpAcquire, Node: n.ID, Lock: lock, Mode: modes.W, Trace: tr,
@@ -1205,7 +1205,7 @@ func (n *Node) dispatchHier(lock proto.LockID, out hlock.Out, done func()) {
 			return
 		}
 		n.waiters[lock] = waiting{mode: n.hier[lock].Pending(), start: n.c.Sim.Now(), done: done}
-		n.c.tel.queueAdmit()
+		n.c.tel.ObserveQueueWait(0)
 	}
 	for i := range out.Msgs {
 		n.c.Net.Send(out.Msgs[i])
@@ -1221,7 +1221,7 @@ func (n *Node) dispatchHier(lock proto.LockID, out hlock.Out, done func()) {
 			}
 			delete(n.waiters, lock)
 			n.c.Grants++
-			n.c.tel.observeGrant(n.c.Sim.Now() - w.start)
+			n.c.tel.ObserveGrant(n.c.Sim.Now() - w.start)
 			op := metrics.OpLock
 			if ev.Kind == hlock.EventUpgraded {
 				op = metrics.OpUpgrade
@@ -1233,7 +1233,7 @@ func (n *Node) dispatchHier(lock proto.LockID, out hlock.Out, done func()) {
 			case sync:
 				outcome = metrics.OutcomeLocal
 			}
-			n.c.tel.observeOp(op, outcome, n.c.Sim.Now()-w.start, w.hops)
+			n.c.tel.ObserveOp(op, outcome, n.c.Sim.Now()-w.start, w.hops)
 			w.done()
 		}
 	}
@@ -1250,7 +1250,7 @@ func (n *Node) dispatchExcl(lock proto.LockID, msgs []proto.Message, acquired bo
 			return
 		}
 		n.waiters[lock] = waiting{mode: modes.W, start: n.c.Sim.Now(), done: done}
-		n.c.tel.queueAdmit()
+		n.c.tel.ObserveQueueWait(0)
 	}
 	for i := range msgs {
 		n.c.Net.Send(msgs[i])
@@ -1264,7 +1264,7 @@ func (n *Node) dispatchExcl(lock proto.LockID, msgs []proto.Message, acquired bo
 		}
 		delete(n.waiters, lock)
 		n.c.Grants++
-		n.c.tel.observeGrant(n.c.Sim.Now() - w.start)
+		n.c.tel.ObserveGrant(n.c.Sim.Now() - w.start)
 		outcome := metrics.OutcomeRemote
 		switch {
 		case w.recovered:
@@ -1272,7 +1272,7 @@ func (n *Node) dispatchExcl(lock proto.LockID, msgs []proto.Message, acquired bo
 		case sync:
 			outcome = metrics.OutcomeLocal
 		}
-		n.c.tel.observeOp(metrics.OpLock, outcome, n.c.Sim.Now()-w.start, w.hops)
+		n.c.tel.ObserveOp(metrics.OpLock, outcome, n.c.Sim.Now()-w.start, w.hops)
 		w.done()
 	}
 }
@@ -1296,7 +1296,8 @@ type Network struct {
 	lastAt   map[[2]proto.NodeID]time.Duration
 	trace    *trace.Recorder
 	faults   *sim.Faults
-	tel      *telemetry
+	// tel is nil unless the cluster has a registry.
+	tel *metrics.Protocol
 	// free is the pool of delivery nodes not in flight.
 	free *delivery
 }
@@ -1322,10 +1323,10 @@ func (d *delivery) Fire() {
 		nw.trace.Record(trace.Entry{
 			At: nw.sim.Now(), Op: trace.OpDeliver, Node: m.To,
 			Lock: m.Lock, Mode: m.Mode, Kind: m.Kind, From: m.From, To: m.To,
-			Trace: msgTrace(m), Epoch: m.Epoch,
+			Trace: m.CausalTrace(), Epoch: m.Epoch,
 		})
 		if nw.tel != nil && m.Kind == proto.KindToken {
-			nw.tel.tokenTransfer(m.Lock, "in")
+			nw.tel.TokenTransfer(strconv.FormatUint(uint64(m.Lock), 10), "in")
 		}
 		d.h(m)
 	}
@@ -1371,7 +1372,7 @@ func (nw *Network) Faults() *sim.Faults { return nw.faults }
 func (nw *Network) Send(msg proto.Message) {
 	nw.Metrics.Count(msg.Kind)
 	if nw.tel != nil {
-		nw.tel.countSent(msg.Kind)
+		nw.tel.CountSent(msg.Kind)
 	}
 	var at time.Duration
 	if nw.faults != nil {
@@ -1385,7 +1386,7 @@ func (nw *Network) Send(msg proto.Message) {
 			nw.trace.Record(trace.Entry{
 				At: nw.sim.Now(), Op: trace.OpLost, Node: msg.From,
 				Lock: msg.Lock, Mode: msg.Mode, Kind: msg.Kind, From: msg.From, To: msg.To,
-				Trace: msgTrace(&msg), Epoch: msg.Epoch,
+				Trace: msg.CausalTrace(), Epoch: msg.Epoch,
 			})
 			return
 		}
@@ -1393,7 +1394,7 @@ func (nw *Network) Send(msg proto.Message) {
 		nw.trace.Record(trace.Entry{
 			At: nw.sim.Now(), Op: trace.OpSend, Node: msg.From,
 			Lock: msg.Lock, Mode: msg.Mode, Kind: msg.Kind, From: msg.From, To: msg.To,
-			Trace: msgTrace(&msg), Epoch: msg.Epoch,
+			Trace: msg.CausalTrace(), Epoch: msg.Epoch,
 		})
 		if nw.trace != nil {
 			nw.recordFaults(&msg, out)
@@ -1403,11 +1404,11 @@ func (nw *Network) Send(msg proto.Message) {
 		nw.trace.Record(trace.Entry{
 			At: nw.sim.Now(), Op: trace.OpSend, Node: msg.From,
 			Lock: msg.Lock, Mode: msg.Mode, Kind: msg.Kind, From: msg.From, To: msg.To,
-			Trace: msgTrace(&msg), Epoch: msg.Epoch,
+			Trace: msg.CausalTrace(), Epoch: msg.Epoch,
 		})
 	}
 	if nw.tel != nil && msg.Kind == proto.KindToken {
-		nw.tel.tokenTransfer(msg.Lock, "out")
+		nw.tel.TokenTransfer(strconv.FormatUint(uint64(msg.Lock), 10), "out")
 	}
 	key := [2]proto.NodeID{msg.From, msg.To}
 	if last, ok := nw.lastAt[key]; ok && at <= last {
@@ -1435,7 +1436,7 @@ func (nw *Network) recordFaults(msg *proto.Message, out sim.Outcome) {
 			nw.trace.Record(trace.Entry{
 				At: nw.sim.Now(), Op: op, Node: msg.From,
 				Lock: msg.Lock, Mode: msg.Mode, Kind: msg.Kind, From: msg.From, To: msg.To,
-				Trace: msgTrace(msg),
+				Trace: msg.CausalTrace(),
 			})
 		}
 	}

@@ -1,13 +1,19 @@
 package cluster_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"hierlock/internal/cluster"
+	"hierlock/internal/introspect"
 	"hierlock/internal/modes"
 	"hierlock/internal/proto"
 )
+
+// The client-level deadlock tests read the simulator's wait-for graph
+// from Cluster.Inventory, the same introspect.BuildWaitFor analysis
+// `lockctl locks --cluster` runs over live members.
 
 // TestDetectDeadlockOppositeOrder induces the textbook client deadlock:
 // two nodes acquire two exclusive locks in opposite orders.
@@ -32,15 +38,16 @@ func TestDetectDeadlockOppositeOrder(t *testing.T) {
 	if c.Quiesced() {
 		t.Fatal("expected the cluster to be stuck, not quiesced")
 	}
-	dl := c.DetectDeadlocks()
+	inv := c.Inventory()
+	dl := inv.WaitFor.Cycles
 	if len(dl) != 1 {
 		t.Fatalf("deadlocks = %v, want exactly one cycle", dl)
 	}
-	if len(dl[0].Nodes) != 2 {
+	if len(dl[0]) != 2 {
 		t.Fatalf("cycle = %v, want the 2-node cycle", dl[0])
 	}
-	if dl[0].String() == "" {
-		t.Fatal("cycle must render")
+	if out := introspect.FormatCluster(inv); !strings.Contains(out, "DEADLOCK: 1 -> 2 -> 1") {
+		t.Fatalf("cycle must render:\n%s", out)
 	}
 }
 
@@ -57,13 +64,13 @@ func TestNoFalseDeadlocks(t *testing.T) {
 	c.Sim.Run(5 * time.Second)
 	c.Nodes[2].Acquire(1, modes.W, func() {}) // waits behind node 1
 	c.Sim.Run(5 * time.Second)
-	if dl := c.DetectDeadlocks(); len(dl) != 0 {
+	if dl := c.Inventory().WaitFor.Cycles; len(dl) != 0 {
 		t.Fatalf("false deadlock reported: %v", dl)
 	}
 	// Compatible waiting is not even an edge.
 	c.Nodes[0].Acquire(1, modes.IR, func() {})
 	c.Sim.Run(5 * time.Second)
-	if dl := c.DetectDeadlocks(); len(dl) != 0 {
+	if dl := c.Inventory().WaitFor.Cycles; len(dl) != 0 {
 		t.Fatalf("false deadlock on compatible wait: %v", dl)
 	}
 }
@@ -84,9 +91,12 @@ func TestDetectThreeWayDeadlock(t *testing.T) {
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
-	dl := c.DetectDeadlocks()
-	if len(dl) != 1 || len(dl[0].Nodes) != 3 {
+	dl := c.Inventory().WaitFor.Cycles
+	if len(dl) != 1 || len(dl[0]) != 3 {
 		t.Fatalf("deadlocks = %v, want one 3-cycle", dl)
+	}
+	if cyc := dl[0]; cyc[0] != 1 || cyc[1] != 2 || cyc[2] != 3 {
+		t.Fatalf("cycle = %v, want canonical [1 2 3]", cyc)
 	}
 }
 
@@ -119,7 +129,7 @@ func TestOrderedAcquisitionAvoidsDeadlock(t *testing.T) {
 	if completed != 2 {
 		t.Fatalf("completed = %d, want 2", completed)
 	}
-	if dl := c.DetectDeadlocks(); len(dl) != 0 {
+	if dl := c.Inventory().WaitFor.Cycles; len(dl) != 0 {
 		t.Fatalf("unexpected deadlock: %v", dl)
 	}
 	if !c.Quiesced() {

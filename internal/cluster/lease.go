@@ -43,10 +43,8 @@ func (n *Node) OpenLease(name string, ttl time.Duration) *Lease {
 		deadline: n.c.Sim.Now() + ttl,
 		held:     make(map[proto.LockID]modes.Mode),
 	}
-	if t := n.c.tel; t.reg != nil {
-		t.sessionsOpened.Inc()
-		t.sessionsOpen.Add(1)
-	}
+	n.c.tel.sessions.Opened.Inc()
+	n.c.tel.sessionsOpen.Add(1)
 	l.arm(ttl)
 	return l
 }
@@ -74,9 +72,7 @@ func (l *Lease) Renew() {
 		return
 	}
 	l.deadline = l.n.c.Sim.Now() + l.ttl
-	if t := l.n.c.tel; t.reg != nil {
-		t.renewals.Inc()
-	}
+	l.n.c.tel.sessions.Renewals.Inc()
 }
 
 // Expired reports whether the lease was reaped or closed.
@@ -123,9 +119,7 @@ func (l *Lease) mintFence(lock proto.LockID) hierlock.FenceToken {
 		epoch = n.hierEngine(lock).Epoch()
 	}
 	f := hierlock.FenceToken{Epoch: epoch, Seq: uint64(n.clock.Tick())}
-	if t := n.c.tel; t.reg != nil {
-		t.fences.Inc()
-	}
+	n.c.tel.Fences.Inc()
 	return f
 }
 
@@ -150,10 +144,8 @@ func (l *Lease) Close() int {
 		return 0
 	}
 	l.gone = true
-	if t := l.n.c.tel; t.reg != nil {
-		t.sessionsClosed.Inc()
-		t.sessionsOpen.Add(-1)
-	}
+	l.n.c.tel.sessions.Closed.Inc()
+	l.n.c.tel.sessionsOpen.Add(-1)
 	return l.drain()
 }
 
@@ -161,14 +153,10 @@ func (l *Lease) Close() int {
 // its locks are force-released so other clients can make progress.
 func (l *Lease) expire() {
 	l.gone = true
-	if t := l.n.c.tel; t.reg != nil {
-		t.sessionsExpired.Inc()
-		t.sessionsOpen.Add(-1)
-	}
+	l.n.c.tel.sessions.Expired.Inc()
+	l.n.c.tel.sessionsOpen.Add(-1)
 	n := l.drain()
-	if t := l.n.c.tel; t.reg != nil {
-		t.reaped.Add(uint64(n))
-	}
+	l.n.c.tel.sessions.LocksReaped.Add(uint64(n))
 }
 
 // drain releases every lock still held under the lease.

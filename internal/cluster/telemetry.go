@@ -5,160 +5,33 @@ import (
 	"time"
 
 	"hierlock/internal/hlock"
+	"hierlock/internal/introspect"
 	"hierlock/internal/metrics"
-	"hierlock/internal/proto"
 )
 
-// telemetry fans the cluster's events into a metrics.Registry under the
-// exact family names the live lockd runtime exports (see member.go and
-// docs/OBSERVABILITY.md), so simulator runs and production scrapes
-// answer the same queries. Handles are cached at init; every emission
-// path is nil-safe, so a cluster without a registry pays only dead
-// branches.
+// telemetry is the cluster's registry wiring. The protocol families come
+// from metrics.Protocol and the lease counters from metrics.Sessions,
+// the same handles the live member and the lockd session tier register,
+// so simulator runs and production scrapes answer the same queries. A
+// cluster without a registry keeps the zero value: nil no-op handles.
 type telemetry struct {
-	reg  *metrics.Registry
-	base time.Duration
-
-	sent        [6]*metrics.Counter // indexed by proto.Kind
-	sentUnknown *metrics.Counter
-	requests    *metrics.Counter
-	acquires    *metrics.Counter
-	latency     *metrics.Histogram
-	factor      *metrics.Histogram
-
-	// Per-operation SLO families, indexed by metrics.Op*/Outcome* —
-	// same names, help strings and buckets as the member runtime.
-	opLatency [2][4]*metrics.Histogram
-	queueWait *metrics.Histogram
-	tokenHops *metrics.Histogram
-
-	// Session-lease mirror families (see internal/session): the
-	// simulator's lease layer (lease.go) drives the same names the lockd
-	// session tier exports, so lease dashboards read identically over
-	// simulator runs and production scrapes. Admission-queue families
-	// are not mirrored — queue admission is a lockd front-end mechanism
-	// with no simulator counterpart.
-	sessionsOpen    *metrics.Gauge
-	sessionsOpened  *metrics.Counter
-	sessionsAdopted *metrics.Counter
-	sessionsClosed  *metrics.Counter
-	sessionsExpired *metrics.Counter
-	renewals        *metrics.Counter
-	reaped          *metrics.Counter
-	fences          *metrics.Counter
+	metrics.Protocol
+	sessions     metrics.Sessions
+	sessionsOpen *metrics.Gauge
 }
 
-func (t *telemetry) init(reg *metrics.Registry, base time.Duration) {
-	t.reg = reg
-	t.base = base
-	if t.base <= 0 {
-		t.base = DefaultLatencyMean
+// registerTelemetry wires the cluster's metric handles and scrape-time
+// collectors into reg.
+func (c *Cluster) registerTelemetry(reg *metrics.Registry, base time.Duration) {
+	if base <= 0 {
+		base = DefaultLatencyMean
 	}
-	for _, k := range metrics.Kinds {
-		t.sent[k] = reg.Counter(metrics.MetricMessagesTotal,
-			"Protocol messages sent, by kind.", metrics.Labels{"kind": k.String()})
-	}
-	t.sentUnknown = reg.Counter(metrics.MetricMessagesTotal,
-		"Protocol messages sent, by kind.", metrics.Labels{"kind": "unknown"})
-	t.requests = reg.Counter(metrics.MetricRequestsTotal,
-		"Client lock requests issued (including upgrades and local joins).", nil)
-	t.acquires = reg.Counter(metrics.MetricAcquiresTotal,
-		"Completed lock acquisitions (grants, upgrades, shared joins).", nil)
-	t.latency = reg.Histogram(metrics.MetricRequestLatency,
-		"Issue-to-grant lock request latency in seconds.",
-		metrics.DefLatencyBuckets, nil)
-	t.factor = reg.Histogram(metrics.MetricRequestLatencyFactor,
-		"Request latency as a multiple of the mean point-to-point network latency (Figure 6).",
-		metrics.LatencyFactorBuckets, nil)
-	for oi, op := range metrics.OpKinds {
-		for ci, oc := range metrics.Outcomes {
-			t.opLatency[oi][ci] = reg.Histogram(metrics.MetricOpLatency,
-				"End-to-end client operation latency in seconds, by operation and grant outcome.",
-				metrics.DefLatencyBuckets, metrics.Labels{"op": op, "outcome": oc})
-		}
-	}
-	t.queueWait = reg.Histogram(metrics.MetricQueueWait,
-		"Per-lock admission queue wait in seconds, request issue to protocol entry.",
-		metrics.DefLatencyBuckets, nil)
-	t.tokenHops = reg.Histogram(metrics.MetricTokenHops,
-		"Token transfers observed per granted request (0 = pure local grant; Figure 5).",
-		metrics.TokenHopBuckets, nil)
-	t.sessionsOpen = reg.Gauge(metrics.MetricSessionsOpen,
+	c.tel.Protocol = metrics.NewProtocol(reg, base)
+	c.tel.sessions = metrics.NewSessions(reg)
+	c.tel.sessionsOpen = reg.Gauge(metrics.MetricSessionsOpen,
 		"Named client sessions currently live.", nil)
-	t.sessionsOpened = reg.Counter(metrics.MetricSessionsOpened,
-		"Named client sessions created.", nil)
-	t.sessionsAdopted = reg.Counter(metrics.MetricSessionsAdopted,
-		"Reconnections that re-adopted a live detached session.", nil)
-	t.sessionsClosed = reg.Counter(metrics.MetricSessionsClosed,
-		"Sessions closed explicitly by clients.", nil)
-	t.sessionsExpired = reg.Counter(metrics.MetricSessionsExpired,
-		"Sessions reaped by the lease sweeper.", nil)
-	t.renewals = reg.Counter(metrics.MetricSessionRenewals,
-		"Session lease renewals (explicit and activity-based).", nil)
-	t.reaped = reg.Counter(metrics.MetricSessionLocksReaped,
-		"Locks force-released because their session's lease expired.", nil)
-	t.fences = reg.Counter(metrics.MetricFenceTokens,
-		"Fencing tokens issued (grants, upgrades, shared joins, hand-offs).", nil)
-}
-
-// countSent records one protocol message entering the network.
-func (t *telemetry) countSent(k proto.Kind) {
-	if t.reg == nil {
-		return
-	}
-	if int(k) < len(t.sent) {
-		t.sent[k].Inc()
-		return
-	}
-	t.sentUnknown.Inc()
-}
-
-// tokenTransfer records a token hop on a lock. The simulator sees both
-// ends of every hop, so direction "out" counts sends and "in" counts
-// deliveries, matching the per-node series of the live runtime.
-func (t *telemetry) tokenTransfer(lock proto.LockID, direction string) {
-	if t.reg == nil {
-		return
-	}
-	t.reg.Counter(metrics.MetricTokenTransfers,
-		"Token transfers observed by this node.",
-		metrics.Labels{
-			"lock":      strconv.FormatUint(uint64(lock), 10),
-			"direction": direction,
-		}).Inc()
-}
-
-// observeGrant records a completed request's issue-to-grant latency.
-func (t *telemetry) observeGrant(d time.Duration) {
-	if t.reg == nil {
-		return
-	}
-	t.acquires.Inc()
-	t.latency.Observe(d.Seconds())
-	t.factor.Observe(d.Seconds() / t.base.Seconds())
-}
-
-// queueAdmit records a request entering the protocol. The simulator
-// admits synchronously, so the wait is always zero; the observation
-// keeps the family's sample count aligned with the live runtime's.
-func (t *telemetry) queueAdmit() {
-	if t.reg == nil {
-		return
-	}
-	t.queueWait.Observe(0)
-}
-
-// observeOp records one finished operation in the per-operation SLO
-// families: latency under its (op, outcome) series and, for grants, the
-// token hops its wait observed (lost operations never got a token).
-func (t *telemetry) observeOp(op, outcome int, d time.Duration, hops int) {
-	if t.reg == nil {
-		return
-	}
-	t.opLatency[op][outcome].Observe(d.Seconds())
-	if outcome != metrics.OutcomeLost {
-		t.tokenHops.Observe(float64(hops))
-	}
+	c.Net.tel = &c.tel.Protocol
+	c.registerLockCollectors(reg)
 }
 
 // registerLockCollectors registers scrape-time gauges over every node's
@@ -167,35 +40,16 @@ func (t *telemetry) observeOp(op, outcome int, d time.Duration, hops int) {
 // single-threaded — so scrape only while the simulator is idle (between
 // Run calls or after the run finished).
 func (c *Cluster) registerLockCollectors(reg *metrics.Registry) {
-	engineGauge := func(f func(*hlock.Engine) float64) metrics.Collector {
-		return func(emit func(metrics.Labels, float64)) {
-			for _, n := range c.Nodes {
-				for id, e := range n.hier {
-					emit(metrics.Labels{
-						"node": strconv.Itoa(int(n.ID)),
-						"lock": strconv.FormatUint(uint64(id), 10),
-					}, f(e))
-				}
+	introspect.RegisterEngineGauges(reg, func(yield func(metrics.Labels, *hlock.Engine)) {
+		for _, n := range c.Nodes {
+			for id, e := range n.hier {
+				yield(metrics.Labels{
+					"node": strconv.Itoa(int(n.ID)),
+					"lock": strconv.FormatUint(uint64(id), 10),
+				}, e)
 			}
 		}
-	}
-	reg.Collect(metrics.MetricLockQueueDepth,
-		"Locally queued requests per lock.", "gauge",
-		engineGauge(func(e *hlock.Engine) float64 { return float64(e.QueueLen()) }))
-	reg.Collect(metrics.MetricLockCopyset,
-		"Copyset size (children holding a granted copy) per lock.", "gauge",
-		engineGauge(func(e *hlock.Engine) float64 { return float64(len(e.Children())) }))
-	reg.Collect(metrics.MetricLockFrozen,
-		"Number of frozen modes per lock.", "gauge",
-		engineGauge(func(e *hlock.Engine) float64 { return float64(e.Frozen().Len()) }))
-	reg.Collect(metrics.MetricTokenHeld,
-		"Whether this node holds the lock's token (0 or 1).", "gauge",
-		engineGauge(func(e *hlock.Engine) float64 {
-			if e.IsToken() {
-				return 1
-			}
-			return 0
-		}))
+	})
 	// Each simulated node's lock table is a single stripe; the live
 	// member spreads its table over many (see member.go). Emitting the
 	// same families keeps dashboards portable between the two.

@@ -201,3 +201,56 @@ func TestSimTelemetryUnderLoad(t *testing.T) {
 		}
 	}
 }
+
+// TestSimTelemetryCountsEveryKind: recovery traffic is exported under
+// its own kind labels, not as "unknown". The token holder crashes, the
+// survivors regenerate the token (probe, claim and recovered frames),
+// and for every kind proto defines the registry must agree with the
+// network's own per-kind count, leaving "unknown" at zero.
+func TestSimTelemetryCountsEveryKind(t *testing.T) {
+	const (
+		lock   proto.LockID = 1
+		victim              = 3
+	)
+	reg := metrics.NewRegistry()
+	c := cluster.New(cluster.Config{
+		Protocol: cluster.Hierarchical,
+		Nodes:    8,
+		Locks:    []proto.LockID{lock},
+		Seed:     3,
+		Registry: reg,
+		Faults:   recoveryCrashPlan(victim),
+		Recovery: &cluster.RecoveryOptions{
+			ConfirmAfter: time.Second,
+			ProbeTimeout: 300 * time.Millisecond,
+		},
+	})
+	c.Sim.At(100*time.Millisecond, func() {
+		c.Nodes[victim].Acquire(lock, modes.W, func() {})
+	})
+	granted := false
+	c.Sim.At(2500*time.Millisecond, func() {
+		c.Nodes[0].Acquire(lock, modes.W, func() { granted = true })
+	})
+	c.Sim.Run(time.Minute)
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !granted {
+		t.Fatal("survivor never granted after recovery")
+	}
+	for _, k := range []proto.Kind{proto.KindProbe, proto.KindClaim, proto.KindRecovered} {
+		if c.Net.Metrics.ByKind[k] == 0 {
+			t.Fatalf("scenario sent no %v frames", k)
+		}
+	}
+	for k := proto.KindRequest; k <= proto.KindLeaveAck; k++ {
+		v := reg.Counter(metrics.MetricMessagesTotal, "", metrics.Labels{"kind": k.String()}).Value()
+		if v != c.Net.Metrics.ByKind[k] {
+			t.Errorf("kind %v: registry %d != network %d", k, v, c.Net.Metrics.ByKind[k])
+		}
+	}
+	if v := reg.Counter(metrics.MetricMessagesTotal, "", metrics.Labels{"kind": "unknown"}).Value(); v != 0 {
+		t.Errorf(`kind="unknown" = %d, want 0`, v)
+	}
+}

@@ -176,23 +176,6 @@ func modeString(m modes.Mode) string {
 // (the member runtime and the simulator).
 func ModeString(m modes.Mode) string { return modeString(m) }
 
-// ParentInt renders a probable-owner next hop for inventory JSON: -1
-// for proto.NoNode (this node is the root).
-func ParentInt(n proto.NodeID) int { return int(n) }
-
-// FrozenStrings renders a frozen-mode set for inventory JSON.
-func FrozenStrings(s modes.Set) []string {
-	ms := s.Modes()
-	if len(ms) == 0 {
-		return nil
-	}
-	out := make([]string, len(ms))
-	for i, m := range ms {
-		out[i] = m.String()
-	}
-	return out
-}
-
 // QueueInfo converts an engine queue snapshot for inventory JSON. self
 // and waiter, when the queueing node knows its own waiter slot, attach
 // the registration-stamped wait duration to the node's own queued

@@ -297,3 +297,19 @@ type Message struct {
 	Owned  modes.Mode
 	Frozen modes.Set
 }
+
+// CausalTrace returns the causal trace ID that trace entries for the
+// message carry. Requests carry it in the embedded Request
+// (authoritative even from v1 peers that zero the header copy).
+// Recovered frames report the regenerated root (Req.Origin) as the trace
+// node, so the auditor opens the new epoch's token ledger at the right
+// node. Everything else carries it in the header.
+func (m *Message) CausalTrace() TraceID {
+	if m.Kind == KindRequest && !m.Req.Trace.IsZero() {
+		return m.Req.Trace
+	}
+	if m.Kind == KindRecovered {
+		return TraceID{Node: m.Req.Origin}
+	}
+	return m.Trace
+}

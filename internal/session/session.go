@@ -90,13 +90,9 @@ type Manager struct {
 	done    chan struct{}
 	sweepWG sync.WaitGroup
 
-	// Cached metric handles (nil-safe without a registry).
-	opened    *metrics.Counter
-	adopted   *metrics.Counter
-	expired   *metrics.Counter
-	closedC   *metrics.Counter
-	renewals  *metrics.Counter
-	reaped    *metrics.Counter
+	// Cached metric handles (nil-safe without a registry). The lease
+	// counters are shared with the simulator's leases.
+	leases    metrics.Sessions
 	enqueued  *metrics.Counter
 	handoffs  *metrics.Counter
 	leaderAcq *metrics.Counter
@@ -130,18 +126,7 @@ func NewManager(cfg Config) *Manager {
 		done:     make(chan struct{}),
 	}
 	if reg := cfg.Registry; reg != nil {
-		m.opened = reg.Counter(metrics.MetricSessionsOpened,
-			"Named client sessions created.", nil)
-		m.adopted = reg.Counter(metrics.MetricSessionsAdopted,
-			"Reconnections that re-adopted a live detached session.", nil)
-		m.expired = reg.Counter(metrics.MetricSessionsExpired,
-			"Sessions reaped by the lease sweeper.", nil)
-		m.closedC = reg.Counter(metrics.MetricSessionsClosed,
-			"Sessions closed explicitly by clients.", nil)
-		m.renewals = reg.Counter(metrics.MetricSessionRenewals,
-			"Session lease renewals (explicit and activity-based).", nil)
-		m.reaped = reg.Counter(metrics.MetricSessionLocksReaped,
-			"Locks force-released because their session's lease expired.", nil)
+		m.leases = metrics.NewSessions(reg)
 		m.enqueued = reg.Counter(metrics.MetricAdmissionEnqueued,
 			"Clients that entered a wait-queue admission queue.", nil)
 		m.handoffs = reg.Counter(metrics.MetricAdmissionHandoffs,
@@ -232,7 +217,7 @@ func (m *Manager) Open(name string, ttl time.Duration) (*Session, bool, error) {
 		s.attached = true
 		s.ttl = ttl
 		s.deadline = m.cfg.Now().Add(ttl)
-		m.adopted.Inc()
+		m.leases.Adopted.Inc()
 		m.logf("session adopted", "session", name, "locks", len(s.held))
 		return s, true, nil
 	}
@@ -246,7 +231,7 @@ func (m *Manager) Open(name string, ttl time.Duration) (*Session, bool, error) {
 	}
 	m.sessions[name] = s
 	m.mu.Unlock()
-	m.opened.Inc()
+	m.leases.Opened.Inc()
 	m.logf("session opened", "session", name, "ttl", ttl)
 	return s, false, nil
 }
@@ -282,7 +267,7 @@ func (m *Manager) CloseSession(s *Session) int {
 	}
 	s.gone = true
 	s.mu.Unlock()
-	m.closedC.Inc()
+	m.leases.Closed.Inc()
 	n := s.ReleaseAll()
 	m.logf("session closed", "session", s.name, "released", n)
 	return n
@@ -319,9 +304,9 @@ func (m *Manager) sweep() {
 	}
 	m.mu.Unlock()
 	for _, s := range dead {
-		m.expired.Inc()
+		m.leases.Expired.Inc()
 		n := s.expire()
-		m.reaped.Add(uint64(n))
+		m.leases.LocksReaped.Add(uint64(n))
 		m.logf("session lease expired", "session", s.name, "reaped", n)
 	}
 }
@@ -406,7 +391,7 @@ func (s *Session) Renew() (time.Duration, error) {
 		return 0, ErrNotFound
 	}
 	s.deadline = s.mgr.cfg.Now().Add(s.ttl)
-	s.mgr.renewals.Inc()
+	s.mgr.leases.Renewals.Inc()
 	return s.ttl, nil
 }
 

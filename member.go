@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -240,33 +239,17 @@ type Telemetry struct {
 }
 
 // telemetry is the member's wired instrumentation state: cached series
-// handles so hot paths never do registry lookups.
+// handles so hot paths never do registry lookups. The protocol families
+// shared with the simulator come from metrics.Protocol; the fields below
+// are the member's own.
 type telemetry struct {
-	reg   *metrics.Registry
+	metrics.Protocol
+
 	rec   *trace.Recorder
 	log   *slog.Logger
 	epoch time.Time
-	base  time.Duration
 
-	sent        [6]*metrics.Counter // indexed by proto.Kind
-	sentUnknown *metrics.Counter
-	requests    *metrics.Counter
-	acquires    *metrics.Counter
 	sharedJoins *metrics.Counter
-	latency     *metrics.Histogram
-	factor      *metrics.Histogram
-
-	// Per-operation SLO families: end-to-end latency by (op, outcome) —
-	// indexed by metrics.Op*/Outcome* so the hot path addresses a cached
-	// handle instead of formatting labels — plus admission queue wait and
-	// the token-hop distribution per granted request.
-	opLatency [2][4]*metrics.Histogram
-	queueWait *metrics.Histogram
-	tokenHops *metrics.Histogram
-
-	// fences counts fencing tokens minted (grants, upgrades, shared
-	// joins and session-tier hand-offs).
-	fences *metrics.Counter
 
 	// Recovery-phase instrumentation (all nil-safe no-ops without a
 	// registry; recovery itself may also be disabled, leaving them at
@@ -301,34 +284,6 @@ func (m *Member) newTrace() proto.TraceID {
 	return proto.TraceID{Node: m.id, Seq: uint64(m.clock.Tick())}
 }
 
-// msgTrace extracts a message's causal trace ID: requests carry it in
-// the embedded Request (authoritative even on v1 peers that zero the
-// header copy), everything else in the header.
-func msgTrace(msg *proto.Message) proto.TraceID {
-	if msg.Kind == proto.KindRequest && !msg.Req.Trace.IsZero() {
-		return msg.Req.Trace
-	}
-	if msg.Kind == proto.KindRecovered {
-		// Recovered frames carry the regenerated root in Req.Origin; the
-		// auditor reads it from the trace ID to open the new epoch's
-		// token ledger at the right node.
-		return proto.TraceID{Node: msg.Req.Origin}
-	}
-	return msg.Trace
-}
-
-// countSent records one outbound protocol message.
-func (t *telemetry) countSent(k proto.Kind) {
-	if t.reg == nil {
-		return
-	}
-	if int(k) < len(t.sent) {
-		t.sent[k].Inc()
-		return
-	}
-	t.sentUnknown.Inc()
-}
-
 // SetTelemetry attaches observability sinks to the member and registers
 // its scrape-time collectors (per-lock engine gauges; transport queue,
 // link and wire-volume metrics for TCP members). Call once, before the
@@ -340,51 +295,17 @@ func (m *Member) SetTelemetry(t Telemetry) {
 	m.tel.log = t.Logger
 	m.tel.bb = t.Blackbox
 	m.tel.epoch = time.Now()
-	m.tel.base = t.NetLatencyBase
-	if m.tel.base <= 0 {
-		m.tel.base = 150 * time.Millisecond
+	base := t.NetLatencyBase
+	if base <= 0 {
+		base = 150 * time.Millisecond
 	}
 	reg := t.Registry
-	m.tel.reg = reg
+	m.tel.Protocol = metrics.NewProtocol(reg, base)
 	if reg == nil {
 		return
 	}
-	for _, k := range metrics.Kinds {
-		m.tel.sent[k] = reg.Counter(metrics.MetricMessagesTotal,
-			"Protocol messages sent, by kind.", metrics.Labels{"kind": k.String()})
-	}
-	m.tel.sentUnknown = reg.Counter(metrics.MetricMessagesTotal,
-		"Protocol messages sent, by kind.", metrics.Labels{"kind": "unknown"})
-	m.tel.requests = reg.Counter(metrics.MetricRequestsTotal,
-		"Client lock requests issued (including upgrades and local joins).", nil)
-	m.tel.acquires = reg.Counter(metrics.MetricAcquiresTotal,
-		"Completed lock acquisitions (grants, upgrades, shared joins).", nil)
 	m.tel.sharedJoins = reg.Counter(metrics.MetricSharedJoinsTotal,
 		"Acquisitions satisfied by joining an existing local hold.", nil)
-	m.tel.latency = reg.Histogram(metrics.MetricRequestLatency,
-		"Issue-to-grant lock request latency in seconds.",
-		metrics.DefLatencyBuckets, nil)
-	m.tel.factor = reg.Histogram(metrics.MetricRequestLatencyFactor,
-		"Request latency as a multiple of the mean point-to-point network latency (Figure 6).",
-		metrics.LatencyFactorBuckets, nil)
-
-	// Per-operation SLO families, every (op, outcome) series pre-registered
-	// at zero so the first scrape is complete before any traffic.
-	for oi, op := range metrics.OpKinds {
-		for ci, oc := range metrics.Outcomes {
-			m.tel.opLatency[oi][ci] = reg.Histogram(metrics.MetricOpLatency,
-				"End-to-end client operation latency in seconds, by operation and grant outcome.",
-				metrics.DefLatencyBuckets, metrics.Labels{"op": op, "outcome": oc})
-		}
-	}
-	m.tel.queueWait = reg.Histogram(metrics.MetricQueueWait,
-		"Per-lock admission queue wait in seconds, request issue to protocol entry.",
-		metrics.DefLatencyBuckets, nil)
-	m.tel.tokenHops = reg.Histogram(metrics.MetricTokenHops,
-		"Token transfers observed per granted request (0 = pure local grant; Figure 5).",
-		metrics.TokenHopBuckets, nil)
-	m.tel.fences = reg.Counter(metrics.MetricFenceTokens,
-		"Fencing tokens issued (grants, upgrades, shared joins, hand-offs).", nil)
 
 	// Recovery-phase families, pre-registered at zero (both directions of
 	// the labeled counters included) so the first scrape is complete even
@@ -514,35 +435,16 @@ func registerJournalCollectors(reg *metrics.Registry, jn *journal.Journal) {
 // per-lock engine state. Each collector walks the shard stripes, taking
 // each stripe's mutex briefly at scrape.
 func (m *Member) registerLockCollectors(reg *metrics.Registry) {
-	engineGauge := func(f func(*hlock.Engine) float64) metrics.Collector {
-		return func(emit func(metrics.Labels, float64)) {
-			for i := range m.shards {
-				sh := &m.shards[i]
-				sh.mu.Lock()
-				for _, ls := range sh.locks {
-					emit(metrics.Labels{"lock": ls.label()}, f(ls.engine))
-				}
-				sh.mu.Unlock()
+	introspect.RegisterEngineGauges(reg, func(yield func(metrics.Labels, *hlock.Engine)) {
+		for i := range m.shards {
+			sh := &m.shards[i]
+			sh.mu.Lock()
+			for _, ls := range sh.locks {
+				yield(metrics.Labels{"lock": ls.label()}, ls.engine)
 			}
+			sh.mu.Unlock()
 		}
-	}
-	reg.Collect(metrics.MetricLockQueueDepth,
-		"Locally queued requests per lock.", "gauge",
-		engineGauge(func(e *hlock.Engine) float64 { return float64(e.QueueLen()) }))
-	reg.Collect(metrics.MetricLockCopyset,
-		"Copyset size (children holding a granted copy) per lock.", "gauge",
-		engineGauge(func(e *hlock.Engine) float64 { return float64(len(e.Children())) }))
-	reg.Collect(metrics.MetricLockFrozen,
-		"Number of frozen modes per lock.", "gauge",
-		engineGauge(func(e *hlock.Engine) float64 { return float64(e.Frozen().Len()) }))
-	reg.Collect(metrics.MetricTokenHeld,
-		"Whether this node holds the lock's token (0 or 1).", "gauge",
-		engineGauge(func(e *hlock.Engine) float64 {
-			if e.IsToken() {
-				return 1
-			}
-			return 0
-		}))
+	})
 	reg.Collect(metrics.MetricStripeLocks,
 		"Tracked locks per shard stripe of the member's lock table.", "gauge",
 		func(emit func(metrics.Labels, float64)) {
@@ -799,7 +701,7 @@ func (m *Member) sendRecovery(msg proto.Message) {
 	m.statMu.Lock()
 	m.sent.Count(msg.Kind)
 	m.statMu.Unlock()
-	m.tel.countSent(msg.Kind)
+	m.tel.CountSent(msg.Kind)
 	switch msg.Kind {
 	case proto.KindProbe:
 		m.tel.probesSent.Inc()
@@ -809,7 +711,7 @@ func (m *Member) sendRecovery(msg proto.Message) {
 	if rec := m.tel.rec; rec != nil {
 		rec.Record(trace.Entry{At: m.tel.now(), Op: trace.OpSend,
 			Node: m.id, Lock: msg.Lock, Kind: msg.Kind, From: msg.From,
-			To: msg.To, Epoch: msg.Epoch, Trace: msgTrace(&msg)})
+			To: msg.To, Epoch: msg.Epoch, Trace: msg.CausalTrace()})
 	}
 	_ = m.tr.Send(&msg)
 }
@@ -1109,10 +1011,6 @@ func (m *Member) MessagesSent() map[string]uint64 {
 	return out
 }
 
-// TrackedLocks returns the number of locks the member currently holds
-// state for. Idle locks (no hold, no waiter, engine at its initial
-// state) are evicted from the table, so the count stays proportional to
-// the working set rather than to every resource ever named.
 // HealthSample snapshots the stall watchdog's inputs (see
 // internal/watchdog): pending waiters and their worst age, cumulative
 // grants, in-flight recovery rounds, journal fsync stalls and transport
@@ -1162,6 +1060,10 @@ func (m *Member) HealthSample() watchdog.Sample {
 	return s
 }
 
+// TrackedLocks returns the number of locks the member currently holds
+// state for. Idle locks (no hold, no waiter, engine at its initial
+// state) are evicted from the table, so the count stays proportional to
+// the working set rather than to every resource ever named.
 func (m *Member) TrackedLocks() int {
 	n := 0
 	for i := range m.shards {
@@ -1185,29 +1087,9 @@ func (m *Member) Inventory() introspect.NodeInventory {
 		sh := &m.shards[i]
 		sh.mu.Lock()
 		for _, ls := range sh.locks {
-			e := ls.engine
-			li := introspect.LockInfo{
-				Lock:       uint64(ls.id),
-				Resource:   ls.res,
-				Epoch:      e.Epoch(),
-				Token:      e.IsToken(),
-				Held:       introspect.ModeString(e.Held()),
-				Pending:    introspect.ModeString(e.Pending()),
-				Frozen:     introspect.FrozenStrings(e.Frozen()),
-				Parent:     introspect.ParentInt(e.Parent()),
-				StaleDrops: e.StaleDrops(),
-			}
-			if ch := e.Children(); len(ch) > 0 {
-				cs := make([]introspect.CopysetEntry, 0, len(ch))
-				for n, md := range ch {
-					cs = append(cs, introspect.CopysetEntry{
-						Node: int(n), Mode: introspect.ModeString(md)})
-				}
-				sort.Slice(cs, func(i, j int) bool { return cs[i].Node < cs[j].Node })
-				li.Copyset = cs
-			}
+			var wi *introspect.Waiter
 			if w := ls.waiter; w != nil {
-				wi := &introspect.Waiter{
+				wi = &introspect.Waiter{
 					Mode:    introspect.ModeString(w.mode),
 					Upgrade: w.upgrade,
 				}
@@ -1217,9 +1099,9 @@ func (m *Member) Inventory() introspect.NodeInventory {
 				if !w.since.IsZero() {
 					wi.WaitNS = time.Since(w.since).Nanoseconds()
 				}
-				li.Waiter = wi
 			}
-			li.Queue = introspect.QueueInfo(e.Queue(), m.id, li.Waiter)
+			li := introspect.EngineLockInfo(ls.id, ls.engine, m.id, wi)
+			li.Resource = ls.res
 			inv.Locks = append(inv.Locks, li)
 		}
 		sh.mu.Unlock()
@@ -1493,7 +1375,7 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		return nil, ErrLeaving
 	}
 	lockID := lockIDFor(resource)
-	m.tel.requests.Inc()
+	m.tel.Requests.Inc()
 	tr := m.newTrace()
 	if rec := m.tel.rec; rec != nil {
 		rec.Record(trace.Entry{At: m.tel.now(), Op: trace.OpAcquire,
@@ -1522,9 +1404,8 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 			m.sharedJoins++
 			m.statMu.Unlock()
 			m.tel.sharedJoins.Inc()
-			m.tel.acquires.Inc()
-			m.tel.opLatency[metrics.OpLock][metrics.OutcomeLocal].ObserveDuration(time.Since(start))
-			m.tel.tokenHops.Observe(0)
+			m.tel.Acquires.Inc()
+			m.tel.ObserveOp(metrics.OpLock, metrics.OutcomeLocal, time.Since(start), 0)
 			if rec := m.tel.rec; rec != nil {
 				rec.Record(trace.Entry{At: m.tel.now(), Op: trace.OpGranted,
 					Node: m.id, Lock: lockID, Mode: mode, Trace: tr})
@@ -1566,8 +1447,8 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 	// Admission is complete: everything before this point was local
 	// head-of-line queueing, not protocol latency. The nil guard is
 	// outside the call so a telemetry-free member skips the clock read.
-	if m.tel.queueWait != nil {
-		m.tel.queueWait.ObserveDuration(time.Since(start))
+	if m.tel.Enabled() {
+		m.tel.ObserveQueueWait(time.Since(start))
 	}
 	w := &waiter{ch: make(chan hlock.Event, 1), since: start, trace: tr, mode: mode}
 	ls.waiter = w
@@ -1592,9 +1473,7 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		m.statMu.Lock()
 		m.acqLatency.Observe(d)
 		m.statMu.Unlock()
-		m.tel.acquires.Inc()
-		m.tel.latency.ObserveDuration(d)
-		m.tel.factor.Observe(d.Seconds() / m.tel.base.Seconds())
+		m.tel.ObserveGrant(d)
 		outcome := metrics.OutcomeRemote
 		switch {
 		case w.recovered:
@@ -1602,8 +1481,7 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		case localGrant:
 			outcome = metrics.OutcomeLocal
 		}
-		m.tel.opLatency[metrics.OpLock][outcome].ObserveDuration(d)
-		m.tel.tokenHops.Observe(float64(w.hops))
+		m.tel.ObserveOp(metrics.OpLock, outcome, d, w.hops)
 	}
 	// With RecoveryTimeout configured, bound the wait: a request whose
 	// grant path died with a crashed node and was never regenerated (see
@@ -1628,7 +1506,7 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		default:
 			w.abandoned = true
 			sh.mu.Unlock()
-			m.tel.opLatency[metrics.OpLock][metrics.OutcomeLost].ObserveDuration(time.Since(start))
+			m.tel.ObserveOp(metrics.OpLock, metrics.OutcomeLost, time.Since(start), 0)
 			m.tel.bb.Record(introspect.Event{Type: introspect.EvLockLost,
 				Node: m.id, Lock: lockID, Mode: mode, Trace: tr})
 			_, _ = m.tel.bb.TriggerDump(introspect.ReasonLockLost)
@@ -1839,7 +1717,7 @@ func (l *Lock) Upgrade(ctx context.Context) error {
 	if h := ls.hold; h != nil {
 		h.upgrading = true // U is never shared, so refs == 1 here
 	}
-	m.tel.requests.Inc()
+	m.tel.Requests.Inc()
 	tr := m.newTrace()
 	if rec := m.tel.rec; rec != nil {
 		rec.Record(trace.Entry{At: m.tel.now(), Op: trace.OpAcquire,
@@ -1877,8 +1755,7 @@ func (l *Lock) Upgrade(ctx context.Context) error {
 		case localGrant:
 			outcome = metrics.OutcomeLocal
 		}
-		m.tel.opLatency[metrics.OpUpgrade][outcome].ObserveDuration(d)
-		m.tel.tokenHops.Observe(float64(w.hops))
+		m.tel.ObserveOp(metrics.OpUpgrade, outcome, d, w.hops)
 	}
 	var recoverC <-chan time.Time
 	if m.recoveryTimeout > 0 {
@@ -1901,7 +1778,7 @@ func (l *Lock) Upgrade(ctx context.Context) error {
 			// The upgrade, like a canceled one, completes in the
 			// background if its grant ever arrives.
 			sh.mu.Unlock()
-			m.tel.opLatency[metrics.OpUpgrade][metrics.OutcomeLost].ObserveDuration(time.Since(start))
+			m.tel.ObserveOp(metrics.OpUpgrade, metrics.OutcomeLost, time.Since(start), 0)
 			m.tel.bb.Record(introspect.Event{Type: introspect.EvLockLost,
 				Node: m.id, Lock: l.id, Mode: modes.W, Trace: tr})
 			_, _ = m.tel.bb.TriggerDump(introspect.ReasonLockLost)
@@ -1945,7 +1822,7 @@ func (m *Member) handle(msg *proto.Message) {
 		rec.Record(trace.Entry{At: m.tel.now(), Op: trace.OpDeliver,
 			Node: m.id, Lock: msg.Lock, Mode: msg.Mode,
 			Kind: msg.Kind, From: msg.From, To: msg.To, Epoch: msg.Epoch,
-			Trace: msgTrace(msg)})
+			Trace: msg.CausalTrace()})
 	}
 	switch msg.Kind {
 	case proto.KindProbe, proto.KindClaim, proto.KindRecovered:
@@ -1980,10 +1857,8 @@ func (m *Member) handle(msg *proto.Message) {
 		if w := ls.waiter; w != nil {
 			w.hops++
 		}
-		if m.tel.reg != nil {
-			m.tel.reg.Counter(metrics.MetricTokenTransfers,
-				"Token transfers observed by this node.",
-				metrics.Labels{"lock": ls.label(), "direction": "in"}).Inc()
+		if m.tel.Enabled() {
+			m.tel.TokenTransfer(ls.label(), "in")
 		}
 	}
 	out, err := ls.engine.Handle(msg)
@@ -1992,7 +1867,7 @@ func (m *Member) handle(msg *proto.Message) {
 		if lg := m.tel.log; lg != nil {
 			lg.Error("protocol error", "err", err, "kind", msg.Kind.String(),
 				"lock", uint64(msg.Lock), "from", int(msg.From),
-				"trace", msgTrace(msg).String())
+				"trace", msg.CausalTrace().String())
 		}
 	}
 	if out.Stale && m.mgr != nil {
@@ -2052,7 +1927,7 @@ func (m *Member) journalLock(ls *lockState) {
 // mints across members along the token's causal path.
 func (m *Member) mintFence(ls *lockState) FenceToken {
 	f := FenceToken{Epoch: ls.engine.Epoch(), Seq: uint64(m.clock.Tick())}
-	m.tel.fences.Inc()
+	m.tel.Fences.Inc()
 	return f
 }
 
@@ -2066,17 +1941,15 @@ func (m *Member) dispatch(ls *lockState, out hlock.Out) {
 		m.statMu.Lock()
 		m.sent.Count(msg.Kind)
 		m.statMu.Unlock()
-		m.tel.countSent(msg.Kind)
+		m.tel.CountSent(msg.Kind)
 		if rec := m.tel.rec; rec != nil {
 			rec.Record(trace.Entry{At: m.tel.now(), Op: trace.OpSend,
 				Node: m.id, Lock: msg.Lock, Mode: msg.Mode,
 				Kind: msg.Kind, From: msg.From, To: msg.To, Epoch: msg.Epoch,
-				Trace: msgTrace(msg)})
+				Trace: msg.CausalTrace()})
 		}
-		if msg.Kind == proto.KindToken && m.tel.reg != nil {
-			m.tel.reg.Counter(metrics.MetricTokenTransfers,
-				"Token transfers observed by this node.",
-				metrics.Labels{"lock": ls.label(), "direction": "out"}).Inc()
+		if msg.Kind == proto.KindToken && m.tel.Enabled() {
+			m.tel.TokenTransfer(ls.label(), "out")
 		}
 		if err := m.tr.Send(msg); err != nil && !m.closed.Load() {
 			if errors.Is(err, transport.ErrUnknown) && m.mgr != nil {

@@ -530,11 +530,11 @@ func (m *Member) countMembershipSend(msg *proto.Message) {
 	m.statMu.Lock()
 	m.sent.Count(msg.Kind)
 	m.statMu.Unlock()
-	m.tel.countSent(msg.Kind)
+	m.tel.CountSent(msg.Kind)
 	if rec := m.tel.rec; rec != nil {
 		rec.Record(trace.Entry{At: m.tel.now(), Op: trace.OpSend,
 			Node: m.id, Kind: msg.Kind, From: msg.From, To: msg.To,
-			Epoch: msg.Epoch, Trace: msgTrace(msg)})
+			Epoch: msg.Epoch, Trace: msg.CausalTrace()})
 	}
 }
 

@@ -2,7 +2,9 @@ package hierlock
 
 import (
 	"testing"
+	"time"
 
+	"hierlock/internal/metrics"
 	"hierlock/internal/proto"
 	"hierlock/internal/trace"
 )
@@ -16,13 +18,15 @@ func TestDisabledTelemetryAllocatesNothing(t *testing.T) {
 	e := trace.Entry{Op: trace.OpSend, Kind: proto.KindToken, From: 0, To: 2, Lock: 7}
 	if n := testing.AllocsPerRun(200, func() {
 		// The calls dispatchLocked/handle/LockWithPriority make per step.
-		tel.countSent(proto.KindRequest)
-		tel.countSent(proto.Kind(250)) // unknown bucket, still free
-		tel.requests.Inc()
-		tel.acquires.Inc()
+		tel.CountSent(proto.KindRequest)
+		tel.CountSent(proto.Kind(250)) // unknown bucket, still free
+		tel.Requests.Inc()
+		tel.Acquires.Inc()
 		tel.sharedJoins.Inc()
-		tel.latency.Observe(0.01)
-		tel.factor.Observe(1.5)
+		tel.ObserveQueueWait(time.Millisecond)
+		tel.ObserveGrant(10 * time.Millisecond)
+		tel.ObserveOp(metrics.OpLock, metrics.OutcomeRemote, 10*time.Millisecond, 1)
+		tel.Fences.Inc()
 		tel.rec.Record(e)
 	}); n != 0 {
 		t.Fatalf("disabled telemetry allocated %.1f times per protocol step", n)
