@@ -1,13 +1,18 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test vet lint race chaos coldstart sessions membership fuzz bench bench-record bench-compare audit ci clean
+.PHONY: build test lockbench-test vet lint race chaos coldstart sessions membership fuzz bench bench-record bench-compare audit ci clean
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# lockbench (the repository benchmark) is its own Go module, so the
+# root `go test ./...` never reaches its tests.
+lockbench-test:
+	cd lockbench && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...
@@ -102,12 +107,12 @@ audit:
 
 # What CI runs: build, go vet + gofmt drift, the plain test pass (which
 # includes the codec allocation assertions compiled out under -race),
-# the full suite under -race (tier-1), the auditor invariants, the
+# lockbench's own tests, the full suite under -race (tier-1), the auditor invariants, the
 # chaos/crash-recovery pass, the durability pass (journal + cold-start
 # chaos + journal fuzz), the session/lease stress pass, the runtime
 # membership pass (join/leave acceptance + determinism), and the
 # microbenchmark regression gate against the latest committed baseline.
-ci: build lint test race audit chaos coldstart sessions membership fuzz bench-record bench-compare
+ci: build lint test lockbench-test race audit chaos coldstart sessions membership fuzz bench-record bench-compare
 
 clean:
 	$(GO) clean ./...

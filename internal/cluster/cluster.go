@@ -1,9 +1,11 @@
 // Package cluster assembles complete simulated deployments: N nodes, each
 // running one protocol engine per lock, connected by a latency-modelled
 // network with per-link FIFO delivery, driven by the discrete-event
-// simulator. It hosts both the paper's hierarchical protocol
-// (internal/hlock) and the Naimi–Trehel baseline (internal/naimi) behind
-// one client interface, so workloads and experiments are protocol-agnostic.
+// simulator. It hosts the paper's hierarchical protocol (internal/hlock)
+// and the four exclusive-only baselines (Naimi–Trehel, Raymond,
+// Suzuki–Kasami, Ricart–Agrawala) behind one client interface, so
+// workloads and experiments are protocol-agnostic. The baselines share
+// one engine contract (exclEngine) and one engine table per node.
 //
 // A built-in oracle continuously verifies mutual exclusion: the multiset
 // of modes held across all nodes of any lock must stay pairwise
@@ -453,15 +455,11 @@ func (c *Cluster) CheckTokens() error {
 					up(s.Epoch)
 				}
 			}
-			switch {
-			case n.hier != nil:
-				if e := n.hier[lock]; e != nil {
-					up(e.Epoch())
-				}
-			case n.naimi != nil:
-				if e := n.naimi[lock]; e != nil {
-					up(e.Epoch())
-				}
+			if e := n.hier[lock]; e != nil {
+				up(e.Epoch())
+			}
+			if e := n.NaimiEngine(lock); e != nil {
+				up(e.Epoch())
 			}
 		}
 		// Pass 2: count token holders among live nodes at that epoch.
@@ -470,8 +468,7 @@ func (c *Cluster) CheckTokens() error {
 			if c.NodeDown(n.ID) {
 				continue
 			}
-			switch {
-			case n.hier != nil:
+			if n.hier != nil {
 				switch e := n.hier[lock]; {
 				case e != nil:
 					if e.Epoch() == maxEpoch && e.IsToken() {
@@ -480,16 +477,16 @@ func (c *Cluster) CheckTokens() error {
 				case c.absentHolds(n, lock, maxEpoch):
 					holders = append(holders, n.ID)
 				}
-			case n.naimi != nil:
-				if e := n.naimi[lock]; e != nil && e.Epoch() == maxEpoch && e.HasToken() {
+				continue
+			}
+			switch e := n.excl[lock].(type) {
+			case nil:
+			case *naimi.Engine:
+				if e.Epoch() == maxEpoch && e.HasToken() {
 					holders = append(holders, n.ID)
 				}
-			case n.raymond != nil:
-				if e := n.raymond[lock]; e != nil && e.HasToken() {
-					holders = append(holders, n.ID)
-				}
-			case n.suzuki != nil:
-				if e := n.suzuki[lock]; e != nil && e.HasToken() {
+			case interface{ HasToken() bool }:
+				if e.HasToken() {
 					holders = append(holders, n.ID)
 				}
 			default:
@@ -587,20 +584,20 @@ type waiting struct {
 type Node struct {
 	ID proto.NodeID
 
-	c       *Cluster
-	clock   proto.Clock
-	hier    map[proto.LockID]*hlock.Engine
-	opts    hlock.Options
-	naimi   map[proto.LockID]*naimi.Engine
-	raymond map[proto.LockID]*raymond.Engine
-	suzuki  map[proto.LockID]*suzuki.Engine
-	ricart  map[proto.LockID]*ricart.Engine
+	c     *Cluster
+	clock proto.Clock
+	hier  map[proto.LockID]*hlock.Engine
+	opts  hlock.Options
+	// excl is the engine table of an exclusive-only baseline cluster (nil
+	// for Hierarchical): one eagerly built engine per configured lock,
+	// each made by newExcl.
+	excl    map[proto.LockID]exclEngine
+	newExcl func(proto.LockID) exclEngine
 
 	// mgr runs the crash-recovery protocol for this node (nil unless
 	// Config.Recovery enabled it on a supporting protocol).
 	mgr      *recovery.Manager
 	cfgLocks []proto.LockID
-	nnodes   int
 
 	// waiters holds the completion callback of the outstanding request
 	// per lock (at most one per lock).
@@ -624,34 +621,45 @@ func (n *Node) newTrace() proto.TraceID {
 	return proto.TraceID{Node: n.ID, Seq: uint64(n.clock.Tick())}
 }
 
+// exclEngine is the contract the four exclusive-only baselines share:
+// each client operation and each delivered message is one step returning
+// the same proto.ExclOut, and the held mode is W or None.
+type exclEngine interface {
+	Acquire() (proto.ExclOut, error)
+	Release() (proto.ExclOut, error)
+	Handle(*proto.Message) (proto.ExclOut, error)
+	Mode() modes.Mode
+}
+
+// exclFactory returns the engine constructor of a baseline protocol for
+// node id of a cluster of the given size, or nil for Hierarchical. Every
+// engine it makes is in the initial topology a blank boot derives: node
+// 0 holds the token (Raymond: each node points up the static binary
+// tree).
+func exclFactory(p Protocol, id proto.NodeID, nodes int, clock *proto.Clock) func(proto.LockID) exclEngine {
+	switch p {
+	case Naimi:
+		return func(l proto.LockID) exclEngine { return naimi.New(id, l, 0, id == 0, clock) }
+	case Raymond:
+		return func(l proto.LockID) exclEngine { return raymond.New(id, l, raymond.BinaryTreeHolder(id), clock) }
+	case Suzuki:
+		return func(l proto.LockID) exclEngine { return suzuki.New(id, l, nodes, id == 0, clock) }
+	case Ricart:
+		return func(l proto.LockID) exclEngine { return ricart.New(id, l, nodes, clock) }
+	}
+	return nil
+}
+
 func newNode(c *Cluster, id proto.NodeID, cfg Config) *Node {
-	n := &Node{ID: id, c: c, nnodes: cfg.Nodes,
+	n := &Node{ID: id, c: c,
 		waiters:    make(map[proto.LockID]waiting),
 		roundStart: make(map[proto.LockID]time.Duration)}
-	hasToken := id == 0
-	const initialParent proto.NodeID = 0
-	switch cfg.Protocol {
-	case Naimi:
-		n.naimi = make(map[proto.LockID]*naimi.Engine, len(cfg.Locks))
+	if n.newExcl = exclFactory(cfg.Protocol, id, cfg.Nodes, &n.clock); n.newExcl != nil {
+		n.excl = make(map[proto.LockID]exclEngine, len(cfg.Locks))
 		for _, l := range cfg.Locks {
-			n.naimi[l] = naimi.New(id, l, initialParent, hasToken, &n.clock)
+			n.excl[l] = n.newExcl(l)
 		}
-	case Raymond:
-		n.raymond = make(map[proto.LockID]*raymond.Engine, len(cfg.Locks))
-		for _, l := range cfg.Locks {
-			n.raymond[l] = raymond.New(id, l, raymond.BinaryTreeHolder(id), &n.clock)
-		}
-	case Suzuki:
-		n.suzuki = make(map[proto.LockID]*suzuki.Engine, len(cfg.Locks))
-		for _, l := range cfg.Locks {
-			n.suzuki[l] = suzuki.New(id, l, cfg.Nodes, hasToken, &n.clock)
-		}
-	case Ricart:
-		n.ricart = make(map[proto.LockID]*ricart.Engine, len(cfg.Locks))
-		for _, l := range cfg.Locks {
-			n.ricart[l] = ricart.New(id, l, cfg.Nodes, &n.clock)
-		}
-	default:
+	} else {
 		// Hierarchical engines are created lazily (and evicted when idle)
 		// to mirror the live member runtime; see hierEngine.
 		n.hier = make(map[proto.LockID]*hlock.Engine, len(cfg.Locks))
@@ -731,8 +739,10 @@ func (n *Node) maxEpoch() uint32 {
 	for _, e := range n.hier {
 		up(e.Epoch())
 	}
-	for _, e := range n.naimi {
-		up(e.Epoch())
+	for _, e := range n.excl {
+		if e, ok := e.(*naimi.Engine); ok {
+			up(e.Epoch())
+		}
 	}
 	return max
 }
@@ -749,25 +759,11 @@ func (n *Node) wipe() {
 		delete(n.waiters, lock)
 	}
 	clear(n.roundStart) // a crashed regenerator's rounds die with it
-	switch {
-	case n.hier != nil:
+	if n.hier != nil {
 		n.hier = make(map[proto.LockID]*hlock.Engine)
-	case n.naimi != nil:
-		for lock := range n.naimi {
-			n.naimi[lock] = naimi.New(n.ID, lock, 0, n.ID == 0, &n.clock)
-		}
-	case n.raymond != nil:
-		for lock := range n.raymond {
-			n.raymond[lock] = raymond.New(n.ID, lock, raymond.BinaryTreeHolder(n.ID), &n.clock)
-		}
-	case n.suzuki != nil:
-		for lock := range n.suzuki {
-			n.suzuki[lock] = suzuki.New(n.ID, lock, n.nnodes, n.ID == 0, &n.clock)
-		}
-	case n.ricart != nil:
-		for lock := range n.ricart {
-			n.ricart[lock] = ricart.New(n.ID, lock, n.nnodes, &n.clock)
-		}
+	}
+	for lock := range n.excl {
+		n.excl[lock] = n.newExcl(lock)
 	}
 	if n.mgr != nil {
 		n.mgr = n.newManager()
@@ -778,8 +774,8 @@ func (n *Node) wipe() {
 // regeneration round: the configured set plus anything it tracks live
 // engine state for (workload-generated IDs).
 func (n *Node) recoveryLocks() []proto.LockID {
-	seen := make(map[proto.LockID]bool, len(n.cfgLocks)+len(n.hier)+len(n.naimi))
-	locks := make([]proto.LockID, 0, len(n.cfgLocks)+len(n.hier)+len(n.naimi))
+	seen := make(map[proto.LockID]bool, len(n.cfgLocks)+n.TrackedLocks())
+	locks := make([]proto.LockID, 0, len(n.cfgLocks)+n.TrackedLocks())
 	add := func(l proto.LockID) {
 		if !seen[l] {
 			seen[l] = true
@@ -792,7 +788,7 @@ func (n *Node) recoveryLocks() []proto.LockID {
 	for l := range n.hier {
 		add(l)
 	}
-	for l := range n.naimi {
+	for l := range n.excl {
 		add(l)
 	}
 	return locks
@@ -805,7 +801,7 @@ func (n *Node) recoveryState(lock proto.LockID) recovery.State {
 		e := n.hierEngine(lock)
 		return recovery.State{Epoch: e.Epoch(), Held: e.Held(), Token: e.IsToken()}
 	}
-	if e := n.naimi[lock]; e != nil {
+	if e := n.NaimiEngine(lock); e != nil {
 		st := recovery.State{Epoch: e.Epoch(), Token: e.HasToken()}
 		if e.Held() {
 			st.Held = modes.W
@@ -822,7 +818,7 @@ func (n *Node) recoveryPrepare(lock proto.LockID, epoch uint32) {
 		n.hierEngine(lock).PrepareReseed(epoch)
 		return
 	}
-	if e := n.naimi[lock]; e != nil {
+	if e := n.NaimiEngine(lock); e != nil {
 		e.PrepareReseed(epoch)
 	}
 }
@@ -844,10 +840,10 @@ func (n *Node) recoveryReseed(lock proto.LockID, root proto.NodeID, epoch uint32
 		if lost {
 			n.c.lockLost(lock, n.ID)
 		}
-		n.dispatchHier(lock, out, nil)
+		n.dispatchHier(lock, out, nil, nil)
 		return
 	}
-	e := n.naimi[lock]
+	e := n.NaimiEngine(lock)
 	if e == nil {
 		return
 	}
@@ -855,7 +851,7 @@ func (n *Node) recoveryReseed(lock proto.LockID, root proto.NodeID, epoch uint32
 	if lost {
 		n.c.lockLost(lock, n.ID)
 	}
-	n.dispatchExcl(lock, out.Msgs, out.Acquired, nil)
+	n.dispatchExcl(lock, out, nil, nil)
 }
 
 // RecoveryManager exposes the node's crash-recovery manager (nil when
@@ -932,29 +928,18 @@ func (n *Node) EvictIdle() int {
 // TrackedLocks returns the number of locks the node currently holds
 // engine state for.
 func (n *Node) TrackedLocks() int {
-	switch {
-	case n.hier != nil:
-		return len(n.hier)
-	case n.naimi != nil:
-		return len(n.naimi)
-	case n.raymond != nil:
-		return len(n.raymond)
-	case n.suzuki != nil:
-		return len(n.suzuki)
-	default:
-		return len(n.ricart)
-	}
+	return len(n.hier) + len(n.excl) // one of the two tables is nil
 }
 
 // Acquire requests lock in mode m; done runs when the lock is held
-// (immediately for local acquisitions). For Naimi clusters the mode is
-// ignored — every lock is exclusive.
+// (immediately for local acquisitions). On the baseline protocols the
+// mode is ignored — every lock is exclusive.
 func (n *Node) Acquire(lock proto.LockID, m modes.Mode, done func()) {
 	n.AcquirePri(lock, m, 0, done)
 }
 
 // AcquirePri is Acquire with a request priority (hierarchical protocol
-// only; Naimi ignores it).
+// only; the baselines ignore it).
 func (n *Node) AcquirePri(lock proto.LockID, m modes.Mode, priority uint8, done func()) {
 	n.c.Requests++
 	n.c.tel.Requests.Inc()
@@ -962,52 +947,18 @@ func (n *Node) AcquirePri(lock proto.LockID, m modes.Mode, priority uint8, done 
 	n.c.trace.Record(trace.Entry{
 		At: n.c.Sim.Now(), Op: trace.OpAcquire, Node: n.ID, Lock: lock, Mode: m, Trace: tr,
 	})
-	if e, ok := n.naimi[lock]; ok {
-		out, err := e.Acquire()
-		if err != nil {
-			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, lock, err))
+	if n.excl != nil {
+		e := n.excl[lock]
+		if e == nil {
+			n.c.fail(fmt.Errorf("cluster: node %d has no engine for lock %d", n.ID, lock))
 			return
 		}
-		n.dispatchExcl(lock, out.Msgs, out.Acquired, done)
-		return
-	}
-	if e, ok := n.raymond[lock]; ok {
 		out, err := e.Acquire()
-		if err != nil {
-			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, lock, err))
-			return
-		}
-		n.dispatchExcl(lock, out.Msgs, out.Acquired, done)
-		return
-	}
-	if e, ok := n.suzuki[lock]; ok {
-		out, err := e.Acquire()
-		if err != nil {
-			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, lock, err))
-			return
-		}
-		n.dispatchExcl(lock, out.Msgs, out.Acquired, done)
-		return
-	}
-	if e, ok := n.ricart[lock]; ok {
-		out, err := e.Acquire()
-		if err != nil {
-			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, lock, err))
-			return
-		}
-		n.dispatchExcl(lock, out.Msgs, out.Acquired, done)
-		return
-	}
-	if n.hier == nil {
-		n.c.fail(fmt.Errorf("cluster: node %d has no engine for lock %d", n.ID, lock))
+		n.dispatchExcl(lock, out, err, done)
 		return
 	}
 	out, err := n.hierEngine(lock).AcquireTraced(m, priority, tr)
-	if err != nil {
-		n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, lock, err))
-		return
-	}
-	n.dispatchHier(lock, out, done)
+	n.dispatchHier(lock, out, err, done)
 }
 
 // Upgrade converts a held U lock to W (hierarchical protocol only).
@@ -1029,74 +980,26 @@ func (n *Node) UpgradePri(lock proto.LockID, priority uint8, done func()) {
 		At: n.c.Sim.Now(), Op: trace.OpAcquire, Node: n.ID, Lock: lock, Mode: modes.W, Trace: tr,
 	})
 	out, err := e.UpgradeTraced(priority, tr)
-	if err != nil {
-		n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, lock, err))
-		return
-	}
-	n.dispatchHier(lock, out, done)
+	n.dispatchHier(lock, out, err, done)
 }
 
 // Release leaves the critical section of a lock.
 func (n *Node) Release(lock proto.LockID) {
 	tr := n.newTrace()
 	n.c.oracleRelease(lock, n.ID, tr)
-	if e, ok := n.naimi[lock]; ok {
+	if e, ok := n.excl[lock]; ok {
 		out, err := e.Release()
-		if err != nil {
-			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, lock, err))
-			return
-		}
-		n.dispatchExcl(lock, out.Msgs, out.Acquired, nil)
-		return
-	}
-	if e, ok := n.raymond[lock]; ok {
-		out, err := e.Release()
-		if err != nil {
-			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, lock, err))
-			return
-		}
-		n.dispatchExcl(lock, out.Msgs, out.Acquired, nil)
-		return
-	}
-	if e, ok := n.suzuki[lock]; ok {
-		out, err := e.Release()
-		if err != nil {
-			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, lock, err))
-			return
-		}
-		n.dispatchExcl(lock, out.Msgs, out.Acquired, nil)
-		return
-	}
-	if e, ok := n.ricart[lock]; ok {
-		out, err := e.Release()
-		if err != nil {
-			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, lock, err))
-			return
-		}
-		n.dispatchExcl(lock, out.Msgs, out.Acquired, nil)
+		n.dispatchExcl(lock, out, err, nil)
 		return
 	}
 	out, err := n.hierEngine(lock).ReleaseTraced(tr)
-	if err != nil {
-		n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, lock, err))
-		return
-	}
-	n.dispatchHier(lock, out, nil)
+	n.dispatchHier(lock, out, err, nil)
 	n.maybeEvictHier()
 }
 
 // Held returns the mode this node holds on the lock (None if not held).
 func (n *Node) Held(lock proto.LockID) modes.Mode {
-	if e, ok := n.naimi[lock]; ok {
-		return e.Mode()
-	}
-	if e, ok := n.raymond[lock]; ok {
-		return e.Mode()
-	}
-	if e, ok := n.suzuki[lock]; ok {
-		return e.Mode()
-	}
-	if e, ok := n.ricart[lock]; ok {
+	if e, ok := n.excl[lock]; ok {
 		return e.Mode()
 	}
 	if e, ok := n.hier[lock]; ok {
@@ -1115,9 +1018,13 @@ func (n *Node) HierEngine(lock proto.LockID) *hlock.Engine {
 	return n.hierEngine(lock)
 }
 
-// NaimiEngine exposes the baseline engine for a lock; nil for
-// hierarchical clusters.
-func (n *Node) NaimiEngine(lock proto.LockID) *naimi.Engine { return n.naimi[lock] }
+// NaimiEngine exposes the Naimi–Trehel engine for a lock; nil on every
+// other protocol. It is also the node's one path to the recovery-only
+// engine surface (epochs, reseeding) the other baselines lack.
+func (n *Node) NaimiEngine(lock proto.LockID) *naimi.Engine {
+	e, _ := n.excl[lock].(*naimi.Engine)
+	return e
+}
 
 func (n *Node) handle(msg *proto.Message) {
 	if n.left {
@@ -1134,147 +1041,119 @@ func (n *Node) handle(msg *proto.Message) {
 			n.waiters[msg.Lock] = w
 		}
 	}
-	if e, ok := n.naimi[msg.Lock]; ok {
-		out, err := e.Handle(msg)
-		if err != nil {
-			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, msg.Lock, err))
+	if n.excl != nil {
+		e := n.excl[msg.Lock]
+		if e == nil {
+			n.c.fail(fmt.Errorf("cluster: node %d received message for unknown lock %d", n.ID, msg.Lock))
 			return
 		}
-		if out.Stale && n.mgr != nil {
+		out, err := e.Handle(msg)
+		if err == nil && out.Stale && n.mgr != nil {
 			// The engine fenced the frame out as pre-recovery traffic: the
 			// sender may be a restarted node that missed the round. Answer
 			// with the completed-round outcome so it catches up.
 			n.mgr.Hint(msg.Lock, msg.From)
 		}
-		n.dispatchExcl(msg.Lock, out.Msgs, out.Acquired, nil)
-		return
-	}
-	if e, ok := n.raymond[msg.Lock]; ok {
-		out, err := e.Handle(msg)
-		if err != nil {
-			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, msg.Lock, err))
-			return
-		}
-		n.dispatchExcl(msg.Lock, out.Msgs, out.Acquired, nil)
-		return
-	}
-	if e, ok := n.suzuki[msg.Lock]; ok {
-		out, err := e.Handle(msg)
-		if err != nil {
-			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, msg.Lock, err))
-			return
-		}
-		n.dispatchExcl(msg.Lock, out.Msgs, out.Acquired, nil)
-		return
-	}
-	if e, ok := n.ricart[msg.Lock]; ok {
-		out, err := e.Handle(msg)
-		if err != nil {
-			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, msg.Lock, err))
-			return
-		}
-		n.dispatchExcl(msg.Lock, out.Msgs, out.Acquired, nil)
-		return
-	}
-	if n.hier == nil {
-		n.c.fail(fmt.Errorf("cluster: node %d received message for unknown lock %d", n.ID, msg.Lock))
+		n.dispatchExcl(msg.Lock, out, err, nil)
 		return
 	}
 	out, err := n.hierEngine(msg.Lock).Handle(msg)
-	if err != nil {
-		n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, msg.Lock, err))
-		return
-	}
-	if out.Stale && n.mgr != nil {
+	if err == nil && out.Stale && n.mgr != nil {
 		n.mgr.Hint(msg.Lock, msg.From)
 	}
-	n.dispatchHier(msg.Lock, out, nil)
+	n.dispatchHier(msg.Lock, out, err, nil)
 	n.maybeEvictHier()
 }
 
-// dispatchHier routes an engine step's output: messages to the network,
-// acquisition events to the oracle and the waiting callback.
-func (n *Node) dispatchHier(lock proto.LockID, out hlock.Out, done func()) {
+// dispatchHier routes a hierarchical engine step: a failed step is
+// recorded on the cluster, a successful one's messages go to the network
+// and its acquisition events to the oracle and the waiting callback.
+func (n *Node) dispatchHier(lock proto.LockID, out hlock.Out, err error, done func()) {
+	if n.failed(lock, err) {
+		return
+	}
 	// A grant surfacing in the same dispatch that registered the waiter
 	// never left the node: that is the local fast path (the member detects
 	// the same condition by checking the grant channel after dispatch).
 	sync := done != nil
-	if done != nil {
-		if _, dup := n.waiters[lock]; dup {
-			n.c.fail(fmt.Errorf("cluster: node %d issued overlapping requests on lock %d", n.ID, lock))
-			return
-		}
-		n.waiters[lock] = waiting{mode: n.hier[lock].Pending(), start: n.c.Sim.Now(), done: done}
-		n.c.tel.ObserveQueueWait(0)
+	if done != nil && !n.await(lock, n.hier[lock].Pending(), done) {
+		return
 	}
 	for i := range out.Msgs {
 		n.c.Net.Send(out.Msgs[i])
 	}
 	for _, ev := range out.Events {
 		switch ev.Kind {
-		case hlock.EventAcquired, hlock.EventUpgraded:
-			n.c.oracleAcquire(lock, n.ID, ev.Mode, ev.Trace)
-			w, ok := n.waiters[lock]
-			if !ok {
-				n.c.fail(fmt.Errorf("cluster: node %d lock %d acquired with no waiter", n.ID, lock))
-				continue
-			}
-			delete(n.waiters, lock)
-			n.c.Grants++
-			n.c.tel.ObserveGrant(n.c.Sim.Now() - w.start)
-			op := metrics.OpLock
-			if ev.Kind == hlock.EventUpgraded {
-				op = metrics.OpUpgrade
-			}
-			outcome := metrics.OutcomeRemote
-			switch {
-			case w.recovered:
-				outcome = metrics.OutcomeRecovery
-			case sync:
-				outcome = metrics.OutcomeLocal
-			}
-			n.c.tel.ObserveOp(op, outcome, n.c.Sim.Now()-w.start, w.hops)
-			w.done()
+		case hlock.EventAcquired:
+			n.granted(lock, ev.Mode, ev.Trace, metrics.OpLock, sync)
+		case hlock.EventUpgraded:
+			n.granted(lock, ev.Mode, ev.Trace, metrics.OpUpgrade, sync)
 		}
 	}
 }
 
-// dispatchExcl routes output of the exclusive-only baseline engines
-// (Naimi, Raymond, Suzuki–Kasami), which share the {Msgs, Acquired}
-// shape.
-func (n *Node) dispatchExcl(lock proto.LockID, msgs []proto.Message, acquired bool, done func()) {
+// dispatchExcl is dispatchHier for a baseline engine step, whose one
+// possible event is an exclusive acquisition.
+func (n *Node) dispatchExcl(lock proto.LockID, out proto.ExclOut, err error, done func()) {
+	if n.failed(lock, err) {
+		return
+	}
 	sync := done != nil
-	if done != nil {
-		if _, dup := n.waiters[lock]; dup {
-			n.c.fail(fmt.Errorf("cluster: node %d issued overlapping requests on lock %d", n.ID, lock))
-			return
-		}
-		n.waiters[lock] = waiting{mode: modes.W, start: n.c.Sim.Now(), done: done}
-		n.c.tel.ObserveQueueWait(0)
+	if done != nil && !n.await(lock, modes.W, done) {
+		return
 	}
-	for i := range msgs {
-		n.c.Net.Send(msgs[i])
+	for i := range out.Msgs {
+		n.c.Net.Send(out.Msgs[i])
 	}
-	if acquired {
-		n.c.oracleAcquire(lock, n.ID, modes.W, proto.TraceID{})
-		w, ok := n.waiters[lock]
-		if !ok {
-			n.c.fail(fmt.Errorf("cluster: node %d lock %d acquired with no waiter", n.ID, lock))
-			return
-		}
-		delete(n.waiters, lock)
-		n.c.Grants++
-		n.c.tel.ObserveGrant(n.c.Sim.Now() - w.start)
-		outcome := metrics.OutcomeRemote
-		switch {
-		case w.recovered:
-			outcome = metrics.OutcomeRecovery
-		case sync:
-			outcome = metrics.OutcomeLocal
-		}
-		n.c.tel.ObserveOp(metrics.OpLock, outcome, n.c.Sim.Now()-w.start, w.hops)
-		w.done()
+	if out.Acquired {
+		n.granted(lock, modes.W, proto.TraceID{}, metrics.OpLock, sync)
 	}
+}
+
+// failed records a failed engine step on lock, reporting whether err
+// was non-nil.
+func (n *Node) failed(lock proto.LockID, err error) bool {
+	if err != nil {
+		n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, lock, err))
+	}
+	return err != nil
+}
+
+// await registers done as the outstanding client request on lock. It
+// reports false (recording a failure) if one is already outstanding.
+func (n *Node) await(lock proto.LockID, m modes.Mode, done func()) bool {
+	if _, dup := n.waiters[lock]; dup {
+		n.c.fail(fmt.Errorf("cluster: node %d issued overlapping requests on lock %d", n.ID, lock))
+		return false
+	}
+	n.waiters[lock] = waiting{mode: m, start: n.c.Sim.Now(), done: done}
+	n.c.tel.ObserveQueueWait(0)
+	return true
+}
+
+// granted completes lock's outstanding request in mode m: the oracle
+// checks it, the grant counters and the op×outcome histograms record it
+// (local when sync, the grant arriving in the dispatch that registered
+// the request), and the request's callback runs.
+func (n *Node) granted(lock proto.LockID, m modes.Mode, tr proto.TraceID, op int, sync bool) {
+	n.c.oracleAcquire(lock, n.ID, m, tr)
+	w, ok := n.waiters[lock]
+	if !ok {
+		n.c.fail(fmt.Errorf("cluster: node %d lock %d acquired with no waiter", n.ID, lock))
+		return
+	}
+	delete(n.waiters, lock)
+	n.c.Grants++
+	n.c.tel.ObserveGrant(n.c.Sim.Now() - w.start)
+	outcome := metrics.OutcomeRemote
+	switch {
+	case w.recovered:
+		outcome = metrics.OutcomeRecovery
+	case sync:
+		outcome = metrics.OutcomeLocal
+	}
+	n.c.tel.ObserveOp(op, outcome, n.c.Sim.Now()-w.start, w.hops)
+	w.done()
 }
 
 // Network models the paper's switched LAN: every ordered node pair is an

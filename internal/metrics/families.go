@@ -44,12 +44,8 @@ func NewProtocol(reg *Registry, base time.Duration) Protocol {
 	}
 	p := Protocol{reg: reg, base: base}
 	for k := range p.sent {
-		kind := proto.Kind(k).String()
-		if proto.Kind(k) == proto.KindInvalid {
-			kind = "unknown"
-		}
 		p.sent[k] = reg.Counter(MetricMessagesTotal,
-			"Protocol messages sent, by kind.", Labels{"kind": kind})
+			"Protocol messages sent, by kind.", Labels{"kind": KindLabel(proto.Kind(k))})
 	}
 	p.Requests = reg.Counter(MetricRequestsTotal,
 		"Client lock requests issued (including upgrades and local joins).", nil)

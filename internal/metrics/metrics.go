@@ -47,6 +47,27 @@ func (m *Messages) Total() uint64 {
 	return t
 }
 
+// ByLabel returns the counts keyed by the `kind` label the messages-sent
+// family exports: every kind proto defines, plus "unknown" for
+// KindInvalid and out-of-range kinds. The values sum to Total.
+func (m *Messages) ByLabel() map[string]uint64 {
+	out := make(map[string]uint64, len(m.ByKind))
+	for k, n := range m.ByKind {
+		out[KindLabel(proto.Kind(k))] += n
+	}
+	out[KindLabel(proto.KindInvalid)] += m.Unknown
+	return out
+}
+
+// KindLabel is a message kind's `kind` label value: its proto name, or
+// "unknown" for KindInvalid and kinds past the last one proto defines.
+func KindLabel(k proto.Kind) string {
+	if k == proto.KindInvalid || k > proto.KindLeaveAck {
+		return "unknown"
+	}
+	return k.String()
+}
+
 // Merge adds other's counts into m.
 func (m *Messages) Merge(other *Messages) {
 	for i, n := range other.ByKind {

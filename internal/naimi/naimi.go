@@ -113,17 +113,10 @@ func (e *Engine) String() string {
 		e.self, e.lock, e.token, e.held, e.requesting, e.father, e.next)
 }
 
-// Event is a local event: the single kind is acquisition.
-type Event struct{}
-
-// Out carries messages to transmit and acquisition events. Stale reports
-// that epoch fencing dropped the input (the host may answer with a
-// recovery hint).
-type Out struct {
-	Msgs     []proto.Message
-	Acquired bool
-	Stale    bool
-}
+// Out is the step result shared by every exclusive baseline engine.
+// Stale reports that epoch fencing dropped the input (the host may answer
+// with a recovery hint).
+type Out = proto.ExclOut
 
 // Acquire requests the critical section. If this node already holds the
 // idle token, entry is immediate and message-free.

@@ -313,3 +313,15 @@ func (m *Message) CausalTrace() TraceID {
 	}
 	return m.Trace
 }
+
+// ExclOut is the step result every exclusive-only baseline engine
+// (internal/naimi, internal/raymond, internal/suzuki, internal/ricart)
+// returns from Acquire, Release and Handle: the messages to transmit and
+// whether this node just entered its critical section. Stale reports
+// that epoch fencing dropped the input, so the host may answer with a
+// recovery hint; only the recovery-capable Naimi–Trehel engine sets it.
+type ExclOut struct {
+	Msgs     []Message
+	Acquired bool
+	Stale    bool
+}

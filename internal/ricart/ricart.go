@@ -13,7 +13,9 @@
 //
 // Same conventions as the other engines: pure state machine, serialized
 // calls per engine, per-link FIFO delivery (not strictly required by this
-// algorithm, but the uniform contract keeps harnesses shared).
+// algorithm, but the uniform contract keeps harnesses shared: the
+// simulator's nodes and the model checker drive all four baselines
+// through one proto.ExclOut-returning interface).
 package ricart
 
 import (
@@ -77,11 +79,9 @@ func (e *Engine) String() string {
 		e.self, e.lock, e.using, e.requesting, e.reqTS, e.replies, len(e.deferred))
 }
 
-// Out carries messages and the acquisition event.
-type Out struct {
-	Msgs     []proto.Message
-	Acquired bool
-}
+// Out is the step result shared by every exclusive baseline engine
+// (Stale is never set: this engine keeps no recovery epoch).
+type Out = proto.ExclOut
 
 // Acquire requests the critical section, broadcasting to every peer.
 // Single-node clusters enter immediately.

@@ -79,7 +79,13 @@ func testWriteCoalescing(t *testing.T, reliable bool) {
 		}
 	}
 	mu.Unlock()
+	// The writer records FramesSent after its write returns, which can
+	// be after the receiver has decoded the whole burst: wait (bounded)
+	// for the sender's stats to catch up before judging them.
 	io := ta.IOStats()
+	for deadline := time.Now().Add(5 * time.Second); io.FramesSent < burst && time.Now().Before(deadline); io = ta.IOStats() {
+		time.Sleep(time.Millisecond)
+	}
 	if io.FramesSent < burst {
 		t.Fatalf("FramesSent = %d, want >= %d", io.FramesSent, burst)
 	}

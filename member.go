@@ -1000,15 +1000,13 @@ func (m *Member) fail(err error) {
 }
 
 // MessagesSent returns a snapshot of the protocol messages this member
-// has sent, by kind.
+// has sent, keyed by the `kind` label /metrics uses: every kind proto
+// defines (recovery and membership traffic included) plus "unknown".
+// The values sum to Stats().MessagesSent.
 func (m *Member) MessagesSent() map[string]uint64 {
 	m.statMu.Lock()
 	defer m.statMu.Unlock()
-	out := make(map[string]uint64, len(metrics.Kinds))
-	for _, k := range metrics.Kinds {
-		out[k.String()] = m.sent.ByKind[k]
-	}
-	return out
+	return m.sent.ByLabel()
 }
 
 // HealthSample snapshots the stall watchdog's inputs (see

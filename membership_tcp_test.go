@@ -207,3 +207,48 @@ func TestTCPLeaverKilledMidHandoff(t *testing.T) {
 		}
 	}
 }
+
+// TestTCPMembershipMessagesSent: MessagesSent (served as /stats
+// messages_sent and the STATS verb) lists membership and recovery sends
+// under their own kinds, so its values sum to Stats().MessagesSent on a
+// member whose traffic included a JOIN handshake.
+func TestTCPMembershipMessagesSent(t *testing.T) {
+	members := newRecoveryTCPCluster(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	joiner, err := hierlock.NewTCPMember(recoveryTCPConfig(2, "127.0.0.1:0", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer joiner.Close()
+	if err := joiner.Join(ctx, members[0].TCPAddr()); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	for _, m := range append(members, joiner) {
+		waitMembers(t, m, 3)
+	}
+	if got := joiner.MessagesSent()["join"]; got == 0 {
+		t.Errorf("joiner MessagesSent()[join] = 0, want > 0 (%v)", joiner.MessagesSent())
+	}
+	for _, m := range append(members, joiner) {
+		// A fan-out send may land between the two reads; only a
+		// persistent mismatch is a bug.
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			var sum uint64
+			byKind := m.MessagesSent()
+			for _, n := range byKind {
+				sum += n
+			}
+			total := m.Stats().MessagesSent
+			if sum == total {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("member %d: MessagesSent sums to %d, Stats().MessagesSent = %d (%v)",
+					m.ID(), sum, total, byKind)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+}
